@@ -18,6 +18,16 @@ every evaluation, so values of different inputs are directly comparable and
 runs are reproducible.  Gradients use a float32 kernel for speed; membership
 counts stay exact (exactly K_s coordinates per sample, ties broken by value
 then lowest index).
+
+The value kernel computes every sample's top-K_s sum in float64, adding the
+K_s largest entries of x + nu_s one at a time, largest first: the order of a
+cumulative sum over a descending sort, so each float equals that formula's.
+It sorts -(x + nu_s) ascending (negation is exact) and adds one column of all
+rows at a time, storing each row's sum after its K_s-th column.  Rows go in
+chunks of 2**17 // d through one 1 MiB scratch buffer per thread, shared by
+all instances, so S = 100k samples at d = 16 need no (S, d) temporary.
+``value`` is the mean of the per-sample sums, ``value_stats`` their mean and
+standard error.
 """
 
 from __future__ import annotations
@@ -31,6 +41,17 @@ from ..norms import NormSpec, topk
 from .base import ApproxMeta, GradStableApprox
 
 __all__ = ["TopKConfig", "TopKApprox", "gs_topk_approx"]
+
+_SCRATCH_FLOATS = 1 << 17  # float64 value-kernel scratch per thread: 1 MiB
+_value_scratch = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """This thread's value-kernel buffer, at least ``n`` floats long."""
+    buf = getattr(_value_scratch, "buf", None)
+    if buf is None or buf.shape[0] < n:
+        buf = _value_scratch.buf = np.empty(max(n, _SCRATCH_FLOATS))
+    return buf
 
 
 @dataclass(frozen=True)
@@ -78,6 +99,7 @@ class TopKApprox(GradStableApprox):
         self._noise32 = None
         self._rows = np.arange(cfg.samples)
         self._ranks_total = int(self.ranks.sum())
+        self._value_chunks = self._chunk_plan()
         self._scratch = threading.local()  # per-thread kernel buffers
         self.mean_rank = float(self.ranks.mean())
         # mean of min(K, k): value(x) >= (mean_capped_rank / k) * topk(x) pointwise
@@ -98,24 +120,11 @@ class TopKApprox(GradStableApprox):
     # --- evaluation ---------------------------------------------------------
 
     def value(self, x) -> float:
-        v = self._vec(x)
-        z = v + self.noise
-        if self.k == 1:
-            return float(z.max(axis=1).mean())
-        srt = np.sort(z, axis=1)[:, ::-1]
-        np.cumsum(srt, axis=1, out=srt)
-        return float(srt[self._rows, self.ranks - 1].mean())
+        return float(self._sample_values(x).mean())
 
     def value_stats(self, x) -> tuple[float, float]:
         """(mean, standard error) of the per-sample top-K values."""
-        v = self._vec(x)
-        z = v + self.noise
-        if self.k == 1:
-            vals = z.max(axis=1)
-        else:
-            srt = np.sort(z, axis=1)[:, ::-1]
-            np.cumsum(srt, axis=1, out=srt)
-            vals = srt[self._rows, self.ranks - 1]
+        vals = self._sample_values(x)
         n = vals.shape[0]
         se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         return float(vals.mean()), se
@@ -152,6 +161,48 @@ class TopKApprox(GradStableApprox):
         return topk(self.dim, self.k)
 
     # --- internals ----------------------------------------------------------
+
+    def _chunk_plan(self) -> list[tuple[int, int, list[np.ndarray]]]:
+        """Row chunks (lo, hi, stores) of the value kernel.
+
+        ``stores[j]`` lists the chunk-local rows whose rank is j + 1: their
+        top-K sum is complete once column j has been added.
+        """
+        S, d = self.noise.shape
+        rows = max(1, _SCRATCH_FLOATS // d)
+        plan = []
+        for lo in range(0, S, rows):
+            hi = min(S, lo + rows)
+            ranks = self.ranks[lo:hi]
+            stores = [np.flatnonzero(ranks == j + 1) for j in range(int(ranks.max()))]
+            plan.append((lo, hi, stores))
+        return plan
+
+    def _sample_values(self, x) -> np.ndarray:
+        """Per-sample top-K_s sums of x + noise, each added largest first."""
+        v = self._vec(x)
+        S, d = self.noise.shape
+        out = np.empty(S)
+        if np.isnan(v).any():  # a descending sort puts NaN first in every row
+            out.fill(np.nan)
+            return out
+        neg = np.negative(v)
+        buf = _scratch(self._value_chunks[0][1] * d)  # the first chunk is the largest
+        for lo, hi, stores in self._value_chunks:
+            z = buf[: (hi - lo) * d].reshape(hi - lo, d)
+            np.subtract(neg, self.noise[lo:hi], out=z)  # -(x + noise), exactly
+            if self.k == 1:
+                np.negative(z.min(axis=1), out=out[lo:hi])
+                continue
+            z.sort(axis=1)
+            acc = np.negative(z[:, 0])
+            chunk_out = out[lo:hi]
+            for j, rows in enumerate(stores):
+                if j:
+                    acc -= z[:, j]
+                if rows.size:
+                    chunk_out[rows] = acc[rows]
+        return out
 
     def _noise_f32(self) -> np.ndarray:
         if self._noise32 is None:

@@ -59,13 +59,15 @@ class BanditInstance:
     def __post_init__(self):
         if self.costs.shape != (self.T, self.d, self.n):
             raise ValueError(f"costs must be (T={self.T}, d={self.d}, n={self.n})")
-        if (self.costs < 0).any() or (self.costs > 1).any():
+        if not (self.costs >= 0).all() or not (self.costs <= 1).all():  # NaN fails too
             raise ValueError("cost entries must lie in [0, 1]")
         if self.rewards is not None:
             if self.rewards.shape != (self.T, self.n):
                 raise ValueError(f"rewards must be (T={self.T}, n={self.n})")
-            if (self.rewards < 0).any() or (self.rewards > 1).any():
+            if not (self.rewards >= 0).all() or not (self.rewards <= 1).all():
                 raise ValueError("reward entries must lie in [0, 1]")
+        if self.budget is not None and not math.isfinite(self.budget):
+            raise ValueError(f"budget must be finite, got {self.budget}")
         if self.null_action is not None:
             a = self.null_action
             if not 0 <= a < self.n:

@@ -135,7 +135,7 @@ def _apply_config(args: argparse.Namespace) -> dict:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         harness.atomic_write_text(out, text)
     else:

@@ -69,7 +69,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def dump_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 # --- instance generators --------------------------------------------------------
@@ -228,7 +228,10 @@ def _parse_opt_mode(text: str) -> tuple[str, float]:
     mode, sep, value = text.partition(":")
     if mode not in ("given", "auto") or not sep:
         raise ValueError(f"opt mode must be given:<v> or auto:<v0>, got {text!r}")
-    return mode, float(value)
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"opt value must be finite, got {text!r}")
+    return mode, v
 
 
 def _lb_single(instance, approx_text, opt_text, samples, theta, seed):

@@ -58,6 +58,8 @@ class LbInstance:
         for t, job in enumerate(self.jobs):
             if job.shape != shape:
                 raise ValueError(f"job {t} has shape {job.shape}, expected {shape}")
+            if not np.isfinite(job).all():
+                raise ValueError(f"job {t} has non-finite loads")
             if (job < 0).any():
                 raise ValueError(f"job {t} has negative loads")
         if self.is_vector_scheduling:
@@ -127,8 +129,8 @@ class LbTrace:
         }
 
 
-def greedy_step(psi: GradStableApprox, loads: np.ndarray, columns: np.ndarray) -> int:
-    """argmin_j psi(loads + column_j); ties go to the lowest index."""
+def greedy_step(psi: GradStableApprox, loads: np.ndarray, columns: np.ndarray) -> tuple[int, float]:
+    """(j, psi(loads + column_j)) for the argmin j; ties go to the lowest index."""
     best_j = 0
     best_v = None
     for j in range(columns.shape[1]):
@@ -136,7 +138,7 @@ def greedy_step(psi: GradStableApprox, loads: np.ndarray, columns: np.ndarray) -
         if best_v is None or v < best_v:
             best_v = v
             best_j = j
-    return best_j
+    return best_j, best_v
 
 
 def run_greedy(
@@ -176,11 +178,10 @@ def run_greedy(
                 phase_guesses.append(guess)
                 psi = builder(dim, 1.0 / guess, phase_seeds[-1])
         cols = instance.columns(t)
-        j = greedy_step(psi, loads, cols)
+        j, psi_vals[t] = greedy_step(psi, loads, cols)
         loads = loads + cols[:, j]
         choices[t] = j
         loads_hist[t] = loads
-        psi_vals[t] = psi.value(loads)
         phases[t] = phase
     return LbTrace(
         choices=choices,

@@ -1,6 +1,7 @@
 """Generators, experiment orchestration, atomic outputs and the CLI contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from gradnorm.harness import (
     GeneratorSpec,
     atomic_write_text,
+    dump_json,
     generate,
     run_experiment,
     write_csv,
@@ -94,6 +96,13 @@ class TestAtomicOutputs:
         with pytest.raises(OSError):
             atomic_write_text(path, "partial")
         assert not os.path.exists(path)
+        assert os.listdir(tmp_path) == []
+
+    def test_json_refuses_non_finite(self, tmp_path):
+        path = str(tmp_path / "s.json")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                dump_json(path, {"mean_ratio": bad})
         assert os.listdir(tmp_path) == []
 
     def test_csv_floats_roundtrip(self, tmp_path):
@@ -235,3 +244,69 @@ class TestCli:
         proc = run_cli("lb", "brute", "--instance", lbinst)
         assert proc.returncode == 0
         assert "value=" in proc.stdout
+
+
+class TestNonFiniteInput:
+    """NaN or inf input exits 2 with a message, never a traceback or a NaN result."""
+
+    def lb_file(self, tmp_path, value):
+        path = str(tmp_path / "lb.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"m": 2, "k": 2, "T": 2, "norm": "linf"}) + "\n")
+            fh.write(json.dumps({"C": [[0.5, 1.0], [1.0, 0.5]]}) + "\n")
+            fh.write(json.dumps({"C": [[value, 1.0], [1.0, 0.5]]}) + "\n")
+        return path
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_lb_load(self, tmp_path, value):
+        out = str(tmp_path / "t.json")
+        proc = run_cli("lb", "run", "--instance", self.lb_file(tmp_path, value),
+                       "--approx", "softmax", "--out", out)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "job 1 has non-finite loads" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not os.path.exists(out)
+
+    def test_bvc_cost(self, tmp_path):
+        path = str(tmp_path / "bvc.jsonl")
+        run_cli("gen", "--problem", "bvc", "--n", "2", "--d", "2", "--T", "5",
+                "--seed", "3", "--out", path)
+        lines = open(path).read().splitlines()
+        row = json.loads(lines[2])
+        row["C"][0][0] = math.nan
+        lines[2] = json.dumps(row, sort_keys=True)
+        open(path, "w").write("\n".join(lines) + "\n")
+        proc = run_cli("bvc", "run", "--instance", path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "cost entries must lie in [0, 1]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bwk_budget(self, tmp_path):
+        path = str(tmp_path / "bwk.jsonl")
+        run_cli("gen", "--problem", "bwk", "--n", "3", "--d", "2", "--T", "5",
+                "--seed", "3", "--out", path)
+        lines = open(path).read().splitlines()
+        header = json.loads(lines[0])
+        header["B"] = math.nan
+        lines[0] = json.dumps(header, sort_keys=True)
+        open(path, "w").write("\n".join(lines) + "\n")
+        proc = run_cli("bwk", "run", "--instance", path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "budget must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("opt", ["given:nan", "given:inf", "auto:nan"])
+    def test_opt_value(self, tmp_path, opt):
+        path = self.lb_file(tmp_path, 0.25)
+        proc = run_cli("lb", "run", "--instance", path, "--approx", "softmax", "--opt", opt)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "opt value must be finite" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_non_finite_result_is_not_written(self):
+        # no trials leave the worst margin at +inf, which JSON cannot carry
+        proc = run_cli("verify", "--approx", "softmax", "--dim", "4", "--check",
+                       "structure", "--trials", "0", "--samples", "100")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "not JSON compliant" in proc.stderr
+        assert "Infinity" not in proc.stdout

@@ -41,12 +41,16 @@ class TestGreedyStep:
     def test_linear_picks_min_total_mass(self):
         psi = build_approx("slp:1", 3, 1.0)
         C = np.array([[1.0, 0.2], [1.0, 0.2], [0.0, 1.5]])
-        assert greedy_step(psi, np.zeros(3), C) == 1  # 1.9 < 2.0
+        j, v = greedy_step(psi, np.zeros(3), C)
+        assert j == 1  # 1.9 < 2.0
+        assert v == psi.value(np.zeros(3) + C[:, j])
 
     def test_sharp_softmax_tracks_max(self):
         psi = build_approx("softmax", 3, 50.0)
         C = np.diag([3.0, 1.0, 2.0])
-        assert greedy_step(psi, np.zeros(3), C) == 1
+        j, v = greedy_step(psi, np.zeros(3), C)
+        assert j == 1
+        assert v == psi.value(np.zeros(3) + C[:, j])
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(0)
@@ -54,12 +58,16 @@ class TestGreedyStep:
         loads = rng.uniform(0, 2, 3)
         C = rng.uniform(0, 1, (3, 2))
         values = [psi.value(loads + C[:, j]) for j in range(2)]
-        assert greedy_step(psi, loads, C) == int(np.argmin(values))
+        j, v = greedy_step(psi, loads, C)
+        assert j == int(np.argmin(values))
+        assert v == psi.value(loads + C[:, j])
 
     def test_tie_breaks_low_index(self):
         psi = build_approx("slp:1", 2, 1.0)
         C = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert greedy_step(psi, np.zeros(2), C) == 0
+        j, v = greedy_step(psi, np.zeros(2), C)
+        assert j == 0
+        assert v == psi.value(np.zeros(2) + C[:, j])
 
 
 class TestBruteForce:
@@ -143,6 +151,19 @@ class TestRunGreedy:
             for j in range(inst.k):
                 assert chosen <= psi.value(prev + cols[:, j]) + 1e-12
             prev = trace.loads[t]
+
+    def test_sym_psi_values_equal_value_of_loads(self):
+        """The value greedy_step returns is the surrogate of the loads it leaves."""
+        norm = normalize_spec(topk(8, 2))
+        rng = np.random.default_rng(9)
+        inst = random_instance(rng, m=8, k=3, T=12, norm=norm)
+        builder = sym_builder_for(norm)
+        trace = run_greedy(inst, builder, ("auto", 0.05), seed=8)
+        assert len(trace.phase_seeds) >= 2  # covers a rebuild of the surrogate
+        for t in range(inst.T):
+            phase = trace.phases[t]
+            psi = builder(8, trace.phase_epsilons[phase], trace.phase_seeds[phase])
+            assert trace.psi_values[t] == psi.value(trace.loads[t])
 
     def test_auto_double_rebuilds_and_keeps_loads(self):
         rng = np.random.default_rng(6)

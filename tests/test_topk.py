@@ -1,11 +1,14 @@
 """Perturbed top-k surrogate: sampling contract, identities and probes."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from gradnorm.approx import TopKConfig, gs_topk_approx
+from gradnorm.approx.topk import _SCRATCH_FLOATS
 from gradnorm.norms import top_k_norm
 
 # Monte-Carlo estimate of E max(noise) in d=16 at eps=1, frozen at first build.
@@ -121,6 +124,95 @@ class TestValue:
         mean, se = tk.value_stats(np.arange(8.0))
         assert mean == pytest.approx(tk.value(np.arange(8.0)))
         assert 0.0 < se < mean
+
+
+def reference_sample_values(tk, x):
+    """Per-sample top-K values by the descending sort and a cumulative sum."""
+    z = np.asarray(x, dtype=float) + tk.noise
+    if tk.k == 1:
+        return z.max(axis=1)
+    srt = np.sort(z, axis=1)[:, ::-1]
+    np.cumsum(srt, axis=1, out=srt)
+    return srt[np.arange(tk.cfg.samples), tk.ranks - 1]
+
+
+def reference_stats(tk, x):
+    vals = reference_sample_values(tk, x)
+    n = vals.shape[0]
+    se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(vals.mean()), se
+
+
+class TestValueKernelBitExact:
+    """value and value_stats equal the sort-and-cumsum formula float for float."""
+
+    def assert_exact(self, tk, x):
+        assert tk.value(x) == float(reference_sample_values(tk, x).mean())
+        assert tk.value_stats(x) == reference_stats(tk, x)
+
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_k_one_middle_and_d(self, k):
+        tk = gs_topk_approx(16, k, 0.5, samples=3000, seed=30 + k)
+        rng = np.random.default_rng(31)
+        for scale in (0.0, 0.1, 1.0, 100.0):
+            self.assert_exact(tk, rng.exponential(1.0, 16) * scale)
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_chunk_boundary(self, k):
+        d = 64
+        tk = gs_topk_approx(d, k, 1.0, samples=_SCRATCH_FLOATS // d + 3, seed=32)
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            self.assert_exact(tk, rng.uniform(0.0, 5.0, d))
+
+    def test_many_chunks(self):
+        tk = gs_topk_approx(16, 4, 1.0, samples=100_000, seed=34)
+        self.assert_exact(tk, np.random.default_rng(35).uniform(0.0, 3.0, 16))
+
+    def test_ties(self):
+        # integer inputs with zeroed noise rows tie whole rows of the sort
+        for k in (1, 3, 6):
+            tk = gs_topk_approx(6, k, 1.0, samples=400, seed=36)
+            tk.noise[::3] = 0.0
+            for x in (np.ones(6), np.array([2.0, 0.0, 2.0, 1.0, 1.0, 2.0]), np.zeros(6)):
+                self.assert_exact(tk, x)
+
+    def test_nan_input_gives_nan(self):
+        tk = gs_topk_approx(6, 3, 1.0, samples=100, seed=37)
+        x = np.array([1.0, np.nan, 0.0, 2.0, 0.0, 0.0])
+        assert math.isnan(tk.value(x))
+        assert math.isnan(float(reference_sample_values(tk, x).mean()))
+
+    def test_threads_share_instances(self):
+        d = 32
+        tks = [gs_topk_approx(d, k, 1.0, samples=5000, seed=38 + k) for k in (1, 4, 32)]
+        xs = [np.random.default_rng(39 + i).uniform(0.0, 4.0, d) for i in range(6)]
+        want = [[reference_stats(tk, x) for x in xs] for tk in tks]
+        errors = []
+
+        def work(offset):
+            try:
+                for rep in range(5):
+                    for i, tk in enumerate(tks):
+                        for j in range(len(xs)):
+                            jj = (j + offset + rep) % len(xs)
+                            if tk.value_stats(xs[jj]) != want[i][jj]:
+                                errors.append((offset, i, jj))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(off,)) for off in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
 
 class TestGradient:
