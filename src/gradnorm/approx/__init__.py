@@ -6,8 +6,6 @@ from .compose import (
     Outer,
     build_nested_max_approx,
     build_symmetric_approx,
-    compose_grad,
-    compose_value,
 )
 from .parse import ApproxSpec, build_approx, parse_approx_spec
 from .shifted_lp import ShiftedLpApprox, shifted_lp_approx
@@ -26,8 +24,6 @@ __all__ = [
     "gs_topk_approx",
     "Leaf",
     "Outer",
-    "compose_value",
-    "compose_grad",
     "build_symmetric_approx",
     "build_nested_max_approx",
     "ApproxSpec",

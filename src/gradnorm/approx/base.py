@@ -59,6 +59,10 @@ class GradStableApprox:
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
+        """``(value(x), gradient(x))``; overridden where the two share work."""
+        return self.value(x), self.gradient(x)
+
     def norm_spec(self) -> NormSpec:
         """The norm this surrogate approximates (used in verification)."""
         raise NotImplementedError

@@ -31,8 +31,6 @@ from .topk import TopKApprox
 __all__ = [
     "Leaf",
     "Outer",
-    "compose_value",
-    "compose_grad",
     "build_symmetric_approx",
     "build_nested_max_approx",
 ]
@@ -85,7 +83,13 @@ class Leaf(GradStableApprox):
         return self.scale * self.inner.value(self._slice(x))
 
     def gradient(self, x) -> np.ndarray:
-        g = self.scale * self.inner.gradient(self._slice(x))
+        return self._scatter(self.scale * self.inner.gradient(self._slice(x)))
+
+    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
+        v, g = self.inner.value_and_grad(self._slice(x))
+        return self.scale * v, self._scatter(self.scale * g)
+
+    def _scatter(self, g: np.ndarray) -> np.ndarray:
         if self.subset is None:
             return g
         out = np.zeros(self.dim)
@@ -168,12 +172,16 @@ class Outer(GradStableApprox):
         return self.outer.value(self.child_values(x))
 
     def gradient(self, x) -> np.ndarray:
-        weights = self.outer.gradient(self.child_values(x))
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
+        """Child values once, then the chain rule over the outer weights."""
+        value, weights = self.outer.value_and_grad(self.child_values(x))
         g = np.zeros(self.dim)
         for w, child in zip(weights, self.children):
             if w != 0.0:
                 g += w * child.gradient(x)
-        return g
+        return value, g
 
     def pair_margin_stats(self, x, y, w1: float, w0: float):
         x = self._vec(x)
@@ -193,14 +201,6 @@ class Outer(GradStableApprox):
 
     def __repr__(self):
         return f"Outer({self.outer!r}, children={len(self.children)})"
-
-
-def compose_value(node: GradStableApprox, x) -> float:
-    return node.value(x)
-
-
-def compose_grad(node: GradStableApprox, x) -> np.ndarray:
-    return node.gradient(x)
 
 
 def _dyadic_block_count(d: int) -> int:

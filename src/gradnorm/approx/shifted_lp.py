@@ -48,14 +48,17 @@ class ShiftedLpApprox(GradStableApprox):
         return float(peak * s ** (1.0 / self.q))
 
     def gradient(self, x) -> np.ndarray:
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
         v = self._vec(x)
+        val = self.value(v)
         if self.q == 1.0:
-            return np.ones(self.dim)
-        val = self.value(x)
+            return val, np.ones(self.dim)
         if val == 0.0:
             # only possible when shift == 0 (q == 1 handled above); keep safe
-            return np.zeros(self.dim)
-        return (v / val) ** (self.q - 1.0)
+            return val, np.zeros(self.dim)
+        return val, (v / val) ** (self.q - 1.0)
 
     def norm_spec(self) -> NormSpec:
         return lp(self.dim, self.q)

@@ -35,9 +35,14 @@ class SoftmaxApprox(GradStableApprox):
         return float((m + np.log(np.exp(z - m).sum())) / self.epsilon)
 
     def gradient(self, x) -> np.ndarray:
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
         z = self.epsilon * self._vec(x)
-        e = np.exp(z - z.max())
-        return e / e.sum()
+        m = z.max()
+        e = np.exp(z - m)
+        s = e.sum()
+        return float((m + np.log(s)) / self.epsilon), e / s
 
     def norm_spec(self) -> NormSpec:
         return linf(self.dim)

@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, combinations_with_replacement
 from typing import Callable
 
 import numpy as np
@@ -134,9 +135,25 @@ class Exp3State:
         return (1.0 - self.phi) * w + self.phi / len(self.weights)
 
 
+_PROB_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+
 def exp3_sample(state: Exp3State, rng: np.random.Generator) -> tuple[int, float]:
+    """One draw from the EXP3 distribution, by inverse CDF.
+
+    The same draw from the same stream as ``rng.choice(n, p=p)``: one
+    ``rng.random()`` looked up in the normalized cumulative sum, and the same
+    validation of ``p``.
+    """
     p = state.distribution()
-    a = int(rng.choice(len(p), p=p))
+    if not p.min() >= 0.0:  # NaN fails too
+        raise ValueError(f"probabilities must be non-negative numbers, got {p}")
+    cdf = p.cumsum()
+    total = float(cdf[-1])
+    if not abs(total - 1.0) <= _PROB_SUM_TOL:
+        raise ValueError(f"probabilities must sum to 1, got {p}")
+    cdf /= total
+    a = int(cdf.searchsorted(rng.random(), side="right"))
     return a, float(p[a])
 
 
@@ -155,15 +172,21 @@ def exp3_update(state: Exp3State, action: int, prob: float, loss: float) -> Exp3
 # --- per-round scalarization ---------------------------------------------------
 
 
-def _round_normalizer(psi: GradStableApprox, loads: np.ndarray, ones_norm: float) -> float:
+def _inflation(psi: GradStableApprox, ones_norm: float) -> float:
+    """Gradient-stability factor of the all-ones step, fixed for a run."""
+    meta = psi.meta
+    return math.exp(min(meta.stability_scale * meta.epsilon * ones_norm + meta.delta, 30.0))
+
+
+def _round_normalizer(
+    psi: GradStableApprox, loads: np.ndarray, value: float, inflate: float
+) -> float:
     """Upper bound on <grad psi(loads), c> over cost columns c in [0,1]^d.
 
-    Chord bound inflated by the gradient-stability factor for the all-ones
-    step, so the bound holds for the declared surrogate class as a whole.
+    Chord bound from ``value = psi(loads)`` inflated by ``_inflation``, so the
+    bound holds for the declared surrogate class as a whole.
     """
-    meta = psi.meta
-    chord = psi.value(loads + 1.0) - psi.value(loads)
-    inflate = math.exp(min(meta.stability_scale * meta.epsilon * ones_norm + meta.delta, 30.0))
+    chord = psi.value(loads + 1.0) - value
     return max(chord * inflate, 1e-12)
 
 
@@ -174,7 +197,7 @@ def bvc_run(instance: BanditInstance, psi: GradStableApprox, seed: int = 0) -> B
     if psi.dim != instance.d:
         raise ValueError("surrogate dimension must match the cost dimension")
     n, T = instance.n, instance.T
-    ones_norm = eval_norm(instance.norm, np.ones(instance.d))
+    inflate = _inflation(psi, eval_norm(instance.norm, np.ones(instance.d)))
     state = Exp3State.fresh(n, T)
     rng = derive_rng(seed, "bvc")
     loads = np.zeros(instance.d)
@@ -182,8 +205,8 @@ def bvc_run(instance: BanditInstance, psi: GradStableApprox, seed: int = 0) -> B
     probs = np.empty(T)
     losses = np.empty(T)
     for t in range(T):
-        grad = psi.gradient(loads)
-        norm_bound = _round_normalizer(psi, loads, ones_norm)
+        value, grad = psi.value_and_grad(loads)
+        norm_bound = _round_normalizer(psi, loads, value, inflate)
         a, p = exp3_sample(state, rng)
         column = instance.costs[t, :, a]
         loss = float(grad @ column) / norm_bound
@@ -238,6 +261,7 @@ def bwk_run(
 
     n, T, null = instance.n, instance.T, instance.null_action
     Z = opt_bwk / B
+    inflate = _inflation(psi, ones_norm)
     state = Exp3State.fresh(n, T)
     rng = derive_rng(seed, "bwk")
     loads = np.zeros(instance.d)
@@ -255,8 +279,8 @@ def bwk_run(
             actions[t] = null
             probs[t] = 1.0
             continue
-        grad = psi.gradient(loads)
-        norm_bound = _round_normalizer(psi, loads, ones_norm)
+        value, grad = psi.value_and_grad(loads)
+        norm_bound = _round_normalizer(psi, loads, value, inflate)
         a, p = exp3_sample(state, rng)
         column = instance.costs[t, :, a]
         reward = float(instance.rewards[t, a])
@@ -298,21 +322,38 @@ def _project_capped_simplex(y: np.ndarray) -> np.ndarray:
 
 
 def _grid_points(n: int, resolution: int) -> np.ndarray:
-    """Integer-composition grid on the unit simplex, exact and duplicate-free."""
+    """Integer-composition grid on the unit simplex, exact and duplicate-free.
 
-    def rec(parts: int, total: int) -> np.ndarray:
-        if parts == 1:
-            return np.array([[total]], dtype=np.int64)
-        blocks = []
-        for head in range(total + 1):
-            tail = rec(parts - 1, total - head)
-            block = np.empty((tail.shape[0], parts), dtype=np.int64)
-            block[:, 0] = head
-            block[:, 1:] = tail
-            blocks.append(block)
-        return np.vstack(blocks)
-
-    return rec(n, resolution) / resolution
+    Rows are the compositions of ``resolution`` into n nonnegative parts in
+    lexicographic order, divided by ``resolution``.  After a head value h,
+    the other n - 1 parts are the gaps between 0, n - 2 nondecreasing cut
+    points in [0, rest] (rest = resolution - h) and rest.
+    ``combinations_with_replacement`` yields the cut points in lexicographic
+    order, and lexicographic cut points give lexicographic gaps.
+    """
+    if n == 1:
+        return np.ones((1, 1))
+    out = np.empty((math.comb(resolution + n - 1, n - 1), n))
+    row = 0
+    for head in range(resolution + 1):
+        rest = resolution - head
+        rows = math.comb(rest + n - 2, n - 2)
+        block = out[row : row + rows]
+        block[:, 0] = head
+        if n == 2:
+            block[:, 1] = rest
+        else:
+            cuts = np.fromiter(
+                chain.from_iterable(combinations_with_replacement(range(rest + 1), n - 2)),
+                dtype=np.int64,
+                count=rows * (n - 2),
+            ).reshape(rows, n - 2)
+            block[:, 1] = cuts[:, 0]
+            np.subtract(cuts[:, 1:], cuts[:, :-1], out=block[:, 2:-1])
+            np.subtract(rest, cuts[:, -1], out=block[:, -1])
+        row += rows
+    out /= resolution
+    return out
 
 
 def _subgradient_minimize(
@@ -459,21 +500,29 @@ def write_bandit_instance(path: str, instance: BanditInstance) -> None:
 
 
 def read_bandit_instance(path: str) -> BanditInstance:
+    """Parse a JSON-lines instance one row at a time into its arrays."""
     with open(path) as fh:
-        lines = [line for line in (raw.strip() for raw in fh) if line]
-    if not lines:
-        raise ValueError(f"empty instance file {path}")
-    header = json.loads(lines[0])
-    n, d, T = header["n"], header["d"], header["T"]
-    costs = np.empty((T, d, n))
-    rewards = None
-    rows = [json.loads(line) for line in lines[1:]]
-    if rows and "r" in rows[0]:
-        rewards = np.empty((T, n))
-    for t, row in enumerate(rows):
-        costs[t] = np.asarray(row["C"], dtype=float)
-        if rewards is not None:
-            rewards[t] = np.asarray(row["r"], dtype=float)
+        lines = (line for line in (raw.strip() for raw in fh) if line)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"empty instance file {path}")
+        header = json.loads(first)
+        n, d, T = header["n"], header["d"], header["T"]
+        costs = np.empty((T, d, n))
+        rewards = None
+        rows = 0
+        for line in lines:
+            if rows == T:
+                raise ValueError(f"{path}: more than the header's T={T} rows")
+            row = json.loads(line)
+            if rows == 0 and "r" in row:
+                rewards = np.empty((T, n))
+            costs[rows] = row["C"]
+            if rewards is not None:
+                rewards[rows] = row["r"]
+            rows += 1
+    if rows != T:
+        raise ValueError(f"{path}: {rows} rows, but the header's T is {T}")
     return BanditInstance(
         n=n,
         d=d,

@@ -274,7 +274,7 @@ def run_experiment(config: dict) -> dict:
 
         traces = _parallel(one, seeds, jobs)
         rows = [
-            [s, t.final_norm, benchmark, t.final_norm / benchmark if benchmark > 0 else math.inf]
+            [s, t.final_norm, benchmark, _ratio(t.final_norm, benchmark)]
             for s, t in zip(seeds, traces)
         ]
         summary = _summarize(config, [r[3] for r in rows])
@@ -302,7 +302,7 @@ def run_experiment(config: dict) -> dict:
                 psi = build_approx(approx_text, instance.d, eps, samples=samples,
                                    seed=psi_seed, norm=instance.norm)
                 tr = bd.bvc_run(instance, psi, seed=run_seed)
-                ratio = tr.final_norm / bench if bench > 0 else math.inf
+                ratio = _ratio(tr.final_norm, bench)
             else:
                 meta_probe = build_approx(approx_text, instance.d, 1.0, samples=samples,
                                           seed=psi_seed, norm=instance.norm)
@@ -312,7 +312,7 @@ def run_experiment(config: dict) -> dict:
                                    seed=psi_seed, norm=instance.norm)
                 tr = bd.bwk_run(instance, psi, opt_in, seed=run_seed,
                                 allow_small_budget=bool(_cfg("allow_small_budget", False)))
-                ratio = tr.total_reward / bench if bench > 0 else math.inf
+                ratio = _ratio(tr.total_reward, bench)
             return [run_seed, tr.total_reward, tr.final_norm, tr.stopped_at, bench, ratio]
 
         rows = _parallel(one, list(enumerate(seeds)), jobs)
@@ -339,6 +339,15 @@ def run_experiment(config: dict) -> dict:
             dump_json(out, report.to_dict())
         return summary
     raise ValueError(f"unknown problem {problem!r}")
+
+
+def _ratio(value: float, benchmark: float) -> float:
+    """value / benchmark; 1.0 when both are 0, an error for any other zero benchmark."""
+    if benchmark > 0:
+        return value / benchmark
+    if value == 0 and benchmark == 0:
+        return 1.0
+    raise ValueError(f"the benchmark is {benchmark!r}, not positive: run value {value!r} has no ratio")
 
 
 def brute_force_value(instance) -> float:

@@ -52,6 +52,8 @@ class LbInstance:
     inner: list[NormSpec] | None = None
 
     def __post_init__(self):
+        if self.m < 1 or self.k < 1:
+            raise ValueError(f"need m >= 1 machines and k >= 1 options, got m={self.m} k={self.k}")
         if self.T < 1 or self.T != len(self.jobs):
             raise ValueError(f"expected {self.T} jobs, got {len(self.jobs)}")
         shape = (self.k, self.m, self.r) if self.is_vector_scheduling else (self.m, self.k)

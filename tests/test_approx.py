@@ -53,6 +53,16 @@ class TestSoftmax:
             ratio = sm.gradient(x + y) / sm.gradient(x)
             assert (ratio >= bound - 1e-9).all()
 
+    def test_gradient_bit_exact(self):
+        """The softmax weights are exactly e / e.sum() with e = exp(z - max z)."""
+        sm = softmax_approx(9, 0.8)
+        rng = np.random.default_rng(3)
+        for scale in (0.01, 1.0, 50.0):
+            x = rng.exponential(scale, 9)
+            z = 0.8 * x
+            e = np.exp(z - z.max())
+            assert (sm.gradient(x) == e / e.sum()).all()
+
     def test_meta(self):
         sm = softmax_approx(16, 0.25)
         assert sm.meta.delta == 0.0
@@ -86,6 +96,14 @@ class TestShiftedLp:
             x = rng.exponential(1.0, 8)
             fd = finite_diff_grad(sl.value, x, 1e-5)
             np.testing.assert_allclose(sl.gradient(x), fd, atol=1e-6)
+
+    def test_gradient_bit_exact(self):
+        """The gradient is exactly (x / value(x)) ** (q - 1)."""
+        lp = shifted_lp_approx(7, 2.5, 0.4)
+        rng = np.random.default_rng(4)
+        for scale in (0.01, 1.0, 50.0):
+            x = rng.exponential(scale, 7)
+            assert (lp.gradient(x) == (x / lp.value(x)) ** (lp.q - 1.0)).all()
 
     def test_sandwich_exact(self):
         """||x||_q <= value(x) <= ||x||_q + (q-1)/eps on random probes."""

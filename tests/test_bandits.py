@@ -1,9 +1,12 @@
 """EXP3 core, both bandit loops, and the fixed-mixture benchmarks."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from gradnorm.approx import build_approx
+from gradnorm.approx import GradStableApprox, build_approx
 from gradnorm.bandits import (
     BanditInstance,
     Exp3State,
@@ -16,8 +19,9 @@ from gradnorm.bandits import (
     project_simplex,
     read_bandit_instance,
     write_bandit_instance,
+    _grid_points,
 )
-from gradnorm.norms import eval_norm, l1, linf, normalize_spec
+from gradnorm.norms import eval_norm, l1, linf, normalize_spec, topk
 from gradnorm.seeding import derive_rng
 
 
@@ -67,6 +71,171 @@ class TestExp3:
             exp3_update(state, 0, 0.01, 1.0)
         assert np.isfinite(state.weights).all()
         assert state.distribution().sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class FixedDistribution:
+    """Stands in for an Exp3State: exp3_sample only asks for the distribution."""
+
+    def __init__(self, p):
+        self.p = np.asarray(p, dtype=float)
+
+    def distribution(self):
+        return self.p.copy()
+
+
+class TestExp3SampleMatchesChoice:
+    """exp3_sample is rng.choice(n, p=p), draw for draw, on the same stream."""
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize("p", [
+        [1.0],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.7, 0.2, 0.1],
+        [0.0, 0.5, 0.0, 0.5],
+        [0.0, 0.0, 1.0],
+        [1e-12, 1.0 - 2e-12, 1e-12],
+        list(np.random.default_rng(1).dirichlet(np.full(9, 0.3))),
+    ])
+    def test_fixed_distributions(self, p):
+        state = FixedDistribution(p)
+        ours, ref = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(self.DRAWS):
+            a, prob = exp3_sample(state, ours)
+            assert a == int(ref.choice(len(p), p=state.p))
+            assert prob == state.p[a]
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_evolving_exp3_state(self):
+        state = Exp3State.fresh(5, horizon=self.DRAWS)
+        losses = np.random.default_rng(22).random((self.DRAWS, 5))
+        ours, ref = derive_rng(3, "bvc"), derive_rng(3, "bvc")
+        for t in range(self.DRAWS):
+            p = state.distribution()
+            expected = int(ref.choice(5, p=p))
+            a, prob = exp3_sample(state, ours)
+            assert (a, prob) == (expected, p[expected])
+            exp3_update(state, a, prob, float(losses[t, a]))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("p", [
+        [0.5, np.nan],
+        [1.5, -0.5],
+        [0.5, 0.6],
+        [np.inf, 0.0],
+    ])
+    def test_invalid_probabilities_raise_like_choice(self, p):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(p), p=p)
+        with pytest.raises(ValueError):
+            exp3_sample(FixedDistribution(p), np.random.default_rng(0))
+
+    def test_nan_weights_raise(self):
+        state = Exp3State.fresh(3, horizon=10)
+        state.weights[1] = np.nan
+        with pytest.raises(ValueError):
+            exp3_sample(state, np.random.default_rng(0))
+
+
+class SeparateValueAndGradient(GradStableApprox):
+    """``psi`` with the base class's value_and_grad: value(x), then gradient(x)."""
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.dim = psi.dim
+        self.meta = psi.meta
+
+    def value(self, x):
+        return self.psi.value(x)
+
+    def gradient(self, x):
+        return self.psi.gradient(x)
+
+
+def assert_traces_equal(a, b):
+    for name in ("actions", "probs", "losses", "final_cost"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert (a.final_norm, a.total_reward, a.stopped_at) == (b.final_norm, b.total_reward, b.stopped_at)
+
+
+def reference_run(instance, psi, seed, opt_bwk=None):
+    """The bandit loop as first written: separate gradient and value calls, two
+    surrogate values per round normalizer, and rng.choice for the draw.
+
+    Returns the actions, probabilities and losses of the rounds played, and
+    the final loads.
+    """
+    meta = psi.meta
+    ones_norm = eval_norm(instance.norm, np.ones(instance.d))
+    state = Exp3State.fresh(instance.n, instance.T)
+    rng = derive_rng(seed, "bvc" if opt_bwk is None else "bwk")
+    loads = np.zeros(instance.d)
+    actions, probs, losses = [], [], []
+    for t in range(instance.T):
+        if opt_bwk is not None and eval_norm(instance.norm, loads) + instance.d > instance.budget:
+            break
+        grad = psi.gradient(loads)
+        chord = psi.value(loads + 1.0) - psi.value(loads)
+        inflate = math.exp(min(meta.stability_scale * meta.epsilon * ones_norm + meta.delta, 30.0))
+        bound = max(chord * inflate, 1e-12)
+        w = state.weights / state.weights.sum()
+        p = (1.0 - state.phi) * w + state.phi / len(w)
+        a = int(rng.choice(len(p), p=p))
+        column = instance.costs[t, :, a]
+        if opt_bwk is None:
+            loss = min(max(float(grad @ column) / bound, 0.0), 1.0)
+        else:
+            Z = opt_bwk / float(instance.budget)
+            gain = float(instance.rewards[t, a]) - Z * float(grad @ column) / bound
+            loss = (1.0 - min(max(gain, -1.0), 1.0)) / 2.0
+        exp3_update(state, a, float(p[a]), loss)
+        loads += column
+        actions.append(a)
+        probs.append(float(p[a]))
+        losses.append(loss)
+    return np.array(actions, dtype=np.int64), np.array(probs), np.array(losses), loads
+
+
+class TestFusedValueAndGradientRuns:
+    """Runs through value_and_grad equal runs through separate value/gradient
+    calls, and the loop as first written."""
+
+    @pytest.mark.parametrize("approx", ["softmax", "slp:2", "gstopk:2", "sym"])
+    def test_bvc_run(self, approx):
+        rng = np.random.default_rng(23)
+        norm = normalize_spec(topk(4, 2))
+        inst = bvc_instance(rng.uniform(0, 1, (150, 4, 3)), norm=norm)
+        psi = build_approx(approx, 4, 0.2, samples=300, seed=24, norm=norm)
+        trace = bvc_run(inst, psi, seed=25)
+        assert_traces_equal(trace, bvc_run(inst, SeparateValueAndGradient(psi), seed=25))
+        actions, probs, losses, loads = reference_run(inst, psi, seed=25)
+        np.testing.assert_array_equal(trace.actions, actions)
+        np.testing.assert_array_equal(trace.probs, probs)
+        np.testing.assert_array_equal(trace.losses, losses)
+        np.testing.assert_array_equal(trace.final_cost, loads)
+
+    @pytest.mark.parametrize("approx", ["softmax", "sym"])
+    def test_bwk_run(self, approx):
+        rng = np.random.default_rng(26)
+        T = 200
+        rewards = rng.uniform(0, 1, (T, 3))
+        costs = rng.uniform(0, 1, (T, 2, 3))
+        rewards[:, 2] = 0.0
+        costs[:, :, 2] = 0.0
+        norm = normalize_spec(linf(2))
+        inst = BanditInstance(n=3, d=2, T=T, costs=costs, norm=norm, rewards=rewards,
+                              budget=60.0, null_action=2)
+        psi = build_approx(approx, 2, 0.05, samples=300, seed=27, norm=norm)
+        runs = [bwk_run(inst, p, opt_bwk=40.0, seed=28, allow_small_budget=True)
+                for p in (psi, SeparateValueAndGradient(psi))]
+        assert runs[0].stopped_at < T  # the stop rule is covered too
+        assert_traces_equal(*runs)
+        actions, probs, losses, loads = reference_run(inst, psi, seed=28, opt_bwk=40.0)
+        assert len(actions) == runs[0].stopped_at
+        np.testing.assert_array_equal(runs[0].actions[: len(actions)], actions)
+        np.testing.assert_array_equal(runs[0].probs[: len(probs)], probs)
+        np.testing.assert_array_equal(runs[0].losses[: len(losses)], losses)
+        np.testing.assert_array_equal(runs[0].final_cost, loads)
 
 
 class TestBvcRun:
@@ -197,6 +366,38 @@ class TestBwkRun:
         assert trace.total_reward == 0.0
 
 
+def recursive_grid_points(n, resolution):
+    """The grid as first written: lexicographic integer compositions by recursion."""
+
+    def rec(parts, total):
+        if parts == 1:
+            return np.array([[total]], dtype=np.int64)
+        blocks = []
+        for head in range(total + 1):
+            tail = rec(parts - 1, total - head)
+            block = np.empty((tail.shape[0], parts), dtype=np.int64)
+            block[:, 0] = head
+            block[:, 1:] = tail
+            blocks.append(block)
+        return np.vstack(blocks)
+
+    return rec(n, resolution) / resolution
+
+
+class TestGridPoints:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 7, 24])
+    def test_equals_recursive_grid(self, n, resolution):
+        expected = recursive_grid_points(n, resolution)
+        grid = _grid_points(n, resolution)
+        assert grid.shape == expected.shape and grid.dtype == expected.dtype
+        assert (grid == expected).all()
+
+    def test_equals_recursive_grid_at_benchmark_size(self):
+        assert (_grid_points(3, 200) == recursive_grid_points(3, 200)).all()
+        assert (_grid_points(4, 100) == recursive_grid_points(4, 100)).all()
+
+
 class TestBenchmarks:
     def test_bvc_single_action(self):
         rng = np.random.default_rng(8)
@@ -306,6 +507,30 @@ class TestBanditIO:
         write_bandit_instance(path, inst)
         back = read_bandit_instance(path)
         assert back.rewards is None and back.budget is None
+
+    def write_rows(self, tmp_path, rows, T):
+        path = str(tmp_path / "rows.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"n": 2, "d": 1, "T": T, "norm": "linf"}) + "\n")
+            for _ in range(rows):
+                fh.write(json.dumps({"C": [[0.5, 0.25]]}) + "\n")
+        return path
+
+    def test_fewer_rows_than_header(self, tmp_path):
+        with pytest.raises(ValueError, match="2 rows, but the header's T is 3"):
+            read_bandit_instance(self.write_rows(tmp_path, 2, 3))
+
+    def test_more_rows_than_header(self, tmp_path):
+        with pytest.raises(ValueError, match="more than the header's T=3 rows"):
+            read_bandit_instance(self.write_rows(tmp_path, 4, 3))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = self.write_rows(tmp_path, 3, 3)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace("\n", "\n\n"))
+        np.testing.assert_array_equal(read_bandit_instance(path).costs, np.full((3, 1, 2), [[0.5, 0.25]]))
 
     def test_entry_validation(self):
         with pytest.raises(ValueError):

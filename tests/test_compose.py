@@ -10,8 +10,6 @@ from gradnorm.approx import (
     Outer,
     build_nested_max_approx,
     build_symmetric_approx,
-    compose_grad,
-    compose_value,
     gs_topk_approx,
     shifted_lp_approx,
     softmax_approx,
@@ -36,8 +34,8 @@ class TestNodes:
         leaf = Leaf(inner, scale=1.0)
         rng = np.random.default_rng(0)
         x = rng.exponential(1.0, 6)
-        assert compose_value(leaf, x) == inner.value(x)
-        np.testing.assert_array_equal(compose_grad(leaf, x), inner.gradient(x))
+        assert leaf.value(x) == inner.value(x)
+        np.testing.assert_array_equal(leaf.gradient(x), inner.gradient(x))
 
     def test_disjoint_linear_blocks(self):
         """Softmax over two l1 leaves: gradient constant within each block."""
@@ -89,6 +87,38 @@ class TestNodes:
             fd = finite_diff_grad(node.value, x, 1e-4)
             tol = 1e-3 * max(np.abs(g).max(), 0.1)
             np.testing.assert_allclose(g, fd, atol=tol)
+
+
+def value_and_grad_cases():
+    """Surrogates covering every value_and_grad override, with their labels."""
+    spec = normalize_spec(topk(6, 2))
+    specs = [normalize_spec(linf(3)), normalize_spec(topk(3, 2))]
+    cases = [
+        ("softmax", softmax_approx(6, 0.7)),
+        ("shifted-lp", shifted_lp_approx(6, 2.5, 0.5)),
+        ("shifted-lp q=1", shifted_lp_approx(6, 1.0, 0.5)),
+        ("topk", gs_topk_approx(6, 3, 0.5, samples=500, seed=40)),
+        ("leaf subset", Leaf(softmax_approx(3, 1.3), dim=6, subset=[4, 0, 2], scale=1.7)),
+        ("leaf subset topk", Leaf(gs_topk_approx(3, 2, 1.0, samples=300, seed=41),
+                                  dim=6, subset=[1, 5, 3], scale=0.6)),
+        ("sym", build_symmetric_approx(ones_profile(spec), 0.5, samples=400, seed=42, norm=spec)),
+        ("nested", build_nested_max_approx([ones_profile(s) for s in specs], 3, 0.5,
+                                           samples=300, seed=43, inner_norms=specs)),
+    ]
+    return [pytest.param(psi, id=label) for label, psi in cases]
+
+
+class TestValueAndGrad:
+    """value_and_grad(x) is exactly (value(x), gradient(x)) for every node kind."""
+
+    @pytest.mark.parametrize("psi", value_and_grad_cases())
+    def test_equals_value_and_gradient(self, psi):
+        rng = np.random.default_rng(44)
+        points = [np.zeros(6), np.full(6, 1e3)] + [rng.exponential(s, 6) for s in (0.1, 1.0, 30.0)]
+        for x in points:
+            value, grad = psi.value_and_grad(x)
+            assert value == psi.value(x)
+            assert grad.shape == (6,) and (grad == psi.gradient(x)).all()
 
 
 class TestSymmetricBuild:

@@ -310,3 +310,72 @@ class TestNonFiniteInput:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "not JSON compliant" in proc.stderr
         assert "Infinity" not in proc.stdout
+
+
+class TestOutOfContractInput:
+    """Malformed instances and undefined ratios exit 2 with a message."""
+
+    def bandit_file(self, tmp_path, rows_kept, extra_rows=0):
+        path = str(tmp_path / "bwk.jsonl")
+        run_cli("gen", "--problem", "bwk", "--n", "3", "--d", "2", "--T", "30",
+                "--budget", "20", "--seed", "3", "--out", path)
+        lines = open(path).read().splitlines()
+        lines = lines[: 1 + rows_kept] + lines[1 : 1 + extra_rows]
+        open(path, "w").write("\n".join(lines) + "\n")
+        return path
+
+    def test_bandit_file_with_fewer_rows_than_t(self, tmp_path):
+        path = self.bandit_file(tmp_path, rows_kept=20)
+        proc = run_cli("bwk", "run", "--instance", path, "--allow-small-budget")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "20 rows, but the header's T is 30" in proc.stderr
+        assert "Traceback" not in proc.stderr and "passed" not in proc.stdout
+
+    def test_bandit_file_with_more_rows_than_t(self, tmp_path):
+        path = self.bandit_file(tmp_path, rows_kept=30, extra_rows=1)
+        proc = run_cli("bvc", "run", "--instance", path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "more than the header's T=30 rows" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def lb_file(self, tmp_path, header, jobs):
+        path = str(tmp_path / "lb.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"norm": "linf", **header}) + "\n")
+            for job in jobs:
+                fh.write(json.dumps({"C": job}) + "\n")
+        return path
+
+    @pytest.mark.parametrize("header,jobs,message", [
+        ({"m": 2, "k": 0, "T": 1}, [[[], []]], "need m >= 1 machines and k >= 1 options"),
+        ({"m": 0, "k": 2, "T": 1}, [[]], "dim must be >= 1"),  # the norm is parsed first
+    ], ids=["k=0", "m=0"])
+    def test_lb_instance_without_machines_or_options(self, tmp_path, header, jobs, message):
+        proc = run_cli("lb", "run", "--instance", self.lb_file(tmp_path, header, jobs),
+                       "--approx", "softmax")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_all_zero_instance_ratio_is_one(self, tmp_path):
+        path = self.lb_file(tmp_path, {"m": 2, "k": 2, "T": 2}, [[[0.0, 0.0], [0.0, 0.0]]] * 2)
+        out = str(tmp_path / "res.csv")
+        proc = run_cli("lb", "run", "--instance", path, "--approx", "softmax",
+                       "--seeds", "1", "--out", out)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert open(out).read().splitlines()[1].split(",")[1:] == ["0.0", "0.0", "1.0"]
+        summary = json.load(open(str(tmp_path / "res.summary.json")))
+        assert summary["mean_ratio"] == summary["max_ratio"] == 1.0
+
+    def test_positive_norm_over_zero_benchmark(self, tmp_path):
+        path = self.lb_file(tmp_path, {"m": 2, "k": 2, "T": 1}, [[[1.0, 2.0], [1.0, 2.0]]])
+        config = str(tmp_path / "cfg.json")
+        with open(config, "w") as fh:
+            json.dump({"benchmark": 0.0}, fh)
+        out = str(tmp_path / "res.csv")
+        proc = run_cli("lb", "run", "--instance", path, "--approx", "softmax",
+                       "--seeds", "1", "--config", config, "--out", out)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "the benchmark is 0.0, not positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not os.path.exists(out)

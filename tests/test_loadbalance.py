@@ -302,3 +302,9 @@ class TestInstanceIO:
             LbInstance(m=2, k=2, T=1, jobs=[np.zeros((3, 2))], norm=normalize_spec(linf(2)))
         with pytest.raises(ValueError):
             LbInstance(m=2, k=2, T=1, jobs=[-np.ones((2, 2))], norm=normalize_spec(linf(2)))
+
+    def test_needs_a_machine_and_an_option(self):
+        with pytest.raises(ValueError, match="k >= 1"):
+            LbInstance(m=2, k=0, T=1, jobs=[np.zeros((2, 0))], norm=normalize_spec(linf(2)))
+        with pytest.raises(ValueError, match="m >= 1"):
+            LbInstance(m=0, k=2, T=1, jobs=[np.zeros((0, 2))], norm=normalize_spec(linf(1)))
