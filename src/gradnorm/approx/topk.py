@@ -15,9 +15,27 @@ gradient.
 
 The S sample pairs (K_s, nu_s) are drawn once at construction and reused for
 every evaluation, so values of different inputs are directly comparable and
-runs are reproducible.  Gradients use a float32 kernel for speed; membership
+runs are reproducible.
+
+Gradients and the paired margins of the stability check count, per
+coordinate, the samples whose top K_s contains it, in a float32 kernel;
 counts stay exact (exactly K_s coordinates per sample, ties broken by value
-then lowest index).
+then lowest index).  A coordinate is a member when z >= the K_s-th largest
+entry of z = x + nu_s.  Up to d = 16 the kernel is coordinate-major: z is a
+(d, S) array with one length-S row per coordinate, its samples stored in
+rank order, and the thresholds come from a sorting network over those rows,
+Batcher's odd-even merge sort pruned to d wires (63 comparators at d = 16)
+and to the sorted rows some rank needs.  A comparator is one np.minimum and
+one np.maximum over whole rows into a pool of scratch rows, and the network
+moves row indices, not data.  Each rank's threshold is then one slice of
+sorted row d - K, members are one >= over the whole array, and counts are
+one np.count_nonzero per row.  At S = 100k, d = 16 this halves the paired
+kernel against the row sort.  Above d = 16 the network measured slower than
+a row sort of the (S, d) layout on a 2-vCPU Xeon VM (d = 24, S = 2000: 1.18
+against 0.88 ms; d = 64, S = 100k: 101-113 against 84-100 ms), so larger d
+keeps the row sort, and so does any input with a NaN or an infinity at any
+d: the row sort orders NaN last, while the network would spread it to every
+row it meets.
 
 The value kernel computes every sample's top-K_s sum in float64, adding the
 K_s largest entries of x + nu_s one at a time, largest first: the order of a
@@ -32,6 +50,7 @@ standard error.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -43,6 +62,7 @@ from .base import ApproxMeta, GradStableApprox
 __all__ = ["TopKConfig", "TopKApprox", "gs_topk_approx"]
 
 _SCRATCH_FLOATS = 1 << 17  # float64 value-kernel scratch per thread: 1 MiB
+_NETWORK_MAX_DIM = 16  # above this the row sort beats the comparator network
 _value_scratch = threading.local()
 
 
@@ -85,6 +105,74 @@ def _sample_ranks(rng: np.random.Generator, cfg: TopKConfig) -> np.ndarray:
     return np.clip(ks, 1, cfg.dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _merge_network(d: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort on d wires, as (low, high) comparators.
+
+    Built for the next power of two and pruned to d: the wires from d up
+    would hold +inf, so every comparator touching one of them is a no-op.
+    """
+    n = 1 << (d - 1).bit_length()
+    net = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    lo, hi = i + j, i + j + k
+                    if lo // (2 * p) == hi // (2 * p) and hi < d:
+                        net.append((lo, hi))
+            k //= 2
+        p *= 2
+    return tuple(net)
+
+
+def _network_plan(d: int, outputs) -> tuple[list[tuple[int, int, int, int]], list[int], int]:
+    """Row steps of the merge network that leave the sorted wires ``outputs``.
+
+    Rows 0..d-1 are the inputs, which are only read; rows from d up are a
+    pool of scratch rows.  A step (a, b, lo, hi) writes min(row a, row b) to
+    row lo and the max to row hi; either is -1 when no wanted output depends
+    on it, and comparators with neither are dropped.  Returns the steps, the
+    row holding each sorted wire, and the pool size.
+    """
+    need = set(outputs)
+    kept = []
+    for a, b in reversed(_merge_network(d)):
+        lo, hi = a in need, b in need
+        if lo or hi:
+            kept.append((a, b, lo, hi))
+            need.update((a, b))
+    wire = list(range(d))
+    free: list[int] = []
+    pool = 0
+
+    def fresh() -> int:
+        nonlocal pool
+        if free:
+            return free.pop()
+        pool += 1
+        return d + pool - 1
+
+    steps = []
+    for a, b, lo, hi in reversed(kept):
+        ins = [w for w in (wire[b], wire[a]) if w >= d]  # pool rows free after this step
+        if lo and hi:  # the min must not overwrite an input the max still reads
+            out_lo, out_hi = fresh(), ins.pop() if ins else fresh()
+        elif lo:
+            out_lo, out_hi = ins.pop() if ins else fresh(), -1
+        else:
+            out_lo, out_hi = -1, ins.pop() if ins else fresh()
+        free.extend(ins)
+        steps.append((wire[a], wire[b], out_lo, out_hi))
+        if lo:
+            wire[a] = out_lo
+        if hi:
+            wire[b] = out_hi
+    return steps, wire, pool
+
+
 class TopKApprox(GradStableApprox):
     def __init__(self, dim: int, k: int, epsilon: float, samples: int = 2000, seed: int = 0):
         cfg = TopKConfig(dim, k, epsilon, samples, seed)
@@ -99,6 +187,7 @@ class TopKApprox(GradStableApprox):
         self._noise32 = None
         self._rows = np.arange(cfg.samples)
         self._ranks_total = int(self.ranks.sum())
+        self._plan_membership()
         self._value_chunks = self._chunk_plan()
         self._scratch = threading.local()  # per-thread kernel buffers
         self.mean_rank = float(self.ranks.mean())
@@ -130,9 +219,10 @@ class TopKApprox(GradStableApprox):
         return float(vals.mean()), se
 
     def gradient(self, x) -> np.ndarray:
-        z, _ = self._buffers()
-        np.add(np.asarray(x, dtype=np.float32), self._noise_f32(), out=z)
-        return self._membership(z, 0).sum(axis=0, dtype=np.int64) / self.cfg.samples
+        x32 = np.asarray(x, dtype=np.float32)
+        z = self._perturbed(x32)
+        _, counts = self._membership(z, 0, self._use_network(x32))
+        return counts / self.cfg.samples
 
     def pair_margin_stats(self, x, y, w1: float, w0: float) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard error of w1 * 1[in top at x+y] - w0 * 1[in top at x].
@@ -141,17 +231,18 @@ class TopKApprox(GradStableApprox):
         the paired Monte-Carlo estimate of the gradient-decay margin used by
         the stability check.
         """
-        z0, z1 = self._buffers()
-        noise = self._noise_f32()
-        np.add(np.asarray(x, dtype=np.float32), noise, out=z0)
-        np.add(z0, np.asarray(y, dtype=np.float32), out=z1)
-        mem0 = self._membership(z0, 0)
-        mem1 = self._membership(z1, 1)
-        n = self.cfg.samples
-        m0 = mem0.sum(axis=0, dtype=np.int64) / n
-        m1 = mem1.sum(axis=0, dtype=np.int64) / n
+        x32 = np.asarray(x, dtype=np.float32)
+        y32 = np.asarray(y, dtype=np.float32)
+        network = self._use_network(x32, y32)
+        z = self._perturbed(x32)
+        mem0, c0 = self._membership(z, 0, network)
+        np.add(z, self._coords(y32), out=z)  # (x + noise) + y
+        mem1, c1 = self._membership(z, 1, network)
         np.logical_and(mem0, mem1, out=mem0)
-        m10 = mem0.sum(axis=0, dtype=np.int64) / n
+        n = self.cfg.samples
+        m0 = c0 / n
+        m1 = c1 / n
+        m10 = self._counts(mem0) / n
         mean = w1 * m1 - w0 * m0
         second = w1 * w1 * m1 + w0 * w0 * m0 - 2.0 * w1 * w0 * m10
         var = np.maximum(second - mean * mean, 0.0)
@@ -204,48 +295,117 @@ class TopKApprox(GradStableApprox):
                     chunk_out[rows] = acc[rows]
         return out
 
+    def _plan_membership(self) -> None:
+        """Membership layout: coordinate-major with a comparator network up to
+        d = 16, sample-major with a row sort above."""
+        d = self.dim
+        self._coord_major = d <= _NETWORK_MAX_DIM
+        if not self._coord_major:
+            self._kernel_ranks = self.ranks
+            return
+        # samples in rank order, so each rank's thresholds are one slice
+        self._order = np.argsort(self.ranks, kind="stable")
+        self._kernel_ranks = self.ranks[self._order]
+        edges = np.searchsorted(self._kernel_ranks, np.arange(1, d + 2))
+        present = [r for r in range(1, d + 1) if edges[r] > edges[r - 1]]
+        self._steps, wire, self._pool_rows = _network_plan(d, [d - r for r in present])
+        self._thr_slices = [(int(edges[r - 1]), int(edges[r]), wire[d - r]) for r in present]
+
     def _noise_f32(self) -> np.ndarray:
+        """float32 noise in the kernel layout, built on first use from ``noise``."""
         if self._noise32 is None:
-            self._noise32 = self.noise.astype(np.float32)
+            if self._coord_major:  # row by row: no (d, S) float64 temporary
+                noise32 = np.empty((self.dim, self.cfg.samples), dtype=np.float32)
+                for i, row in enumerate(noise32):
+                    row[:] = self.noise[self._order, i]
+            else:
+                noise32 = self.noise.astype(np.float32)
+            self._noise32 = noise32  # published whole: other threads may be reading
         return self._noise32
 
+    def _coords(self, v32: np.ndarray) -> np.ndarray:
+        """A length-d vector shaped to broadcast over the kernel layout."""
+        return v32.reshape(-1, 1) if self._coord_major else v32
+
+    def _use_network(self, *vs: np.ndarray) -> bool:
+        """Whether the network may run: with finite inputs no entry of z is NaN."""
+        return self._coord_major and all(np.isfinite(v).all() for v in vs)
+
+    def _perturbed(self, x32: np.ndarray) -> np.ndarray:
+        """This thread's z buffer, filled with x + noise in float32."""
+        z = self._buffers().z
+        np.add(self._noise_f32(), self._coords(x32), out=z)
+        return z
+
     def _buffers(self):
-        """Thread-local (S, d) scratch arrays; instances stay safe to share."""
+        """Thread-local kernel buffers; instances stay safe to share."""
         tls = self._scratch
         if getattr(tls, "z", None) is None:
-            shape = (self.cfg.samples, self.dim)
+            S, d = self.cfg.samples, self.dim
+            shape = (d, S) if self._coord_major else (S, d)
             tls.z = np.empty(shape, dtype=np.float32)
-            tls.z2 = np.empty(shape, dtype=np.float32)
-            tls.sort = np.empty(shape, dtype=np.float32)
             tls.mask = [np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)]
-        return tls.z, tls.z2
+            tls.sort = None
+            if self._coord_major:
+                tls.rows = [*tls.z, *np.empty((self._pool_rows, S), dtype=np.float32)]
+                tls.thr = np.empty(S, dtype=np.float32)
+        return tls
 
-    def _membership(self, z: np.ndarray, slot: int = 0) -> np.ndarray:
-        """Boolean (S, d) mask: coordinate among the K_s largest of row s."""
-        S, d = z.shape
+    def _membership(self, z: np.ndarray, slot: int, network: bool):
+        """Mask of the coordinates among the K_s largest of each sample, in the
+        kernel layout, and the member count of each coordinate."""
         tls = self._scratch
         mem = tls.mask[slot]
-        if self.k == 1:
-            mem.fill(False)
-            mem[self._rows, z.argmax(axis=1)] = True
-            return mem
-        srt = tls.sort
-        np.copyto(srt, z)
-        srt.sort(axis=1)
-        thr = srt[self._rows, d - self.ranks]
-        np.greater_equal(z, thr[:, None], out=mem)
-        if int(mem.sum()) != self._ranks_total:  # exact iff no row ties at thr
-            counts = mem.sum(axis=1)
-            bad = np.nonzero(counts != self.ranks)[0]
+        zs, ms = (z.T, mem.T) if self._coord_major else (z, mem)  # sample-major views
+        if network:
+            thr = self._network_thresholds()
+            np.greater_equal(z, thr, out=mem)
+        elif self.k == 1:
+            ms.fill(False)
+            ms[self._rows, zs.argmax(axis=1)] = True
+            return mem, self._counts(mem)
+        else:
+            if tls.sort is None:
+                tls.sort = np.empty(zs.shape, dtype=np.float32)
+            srt = tls.sort
+            np.copyto(srt, zs)
+            srt.sort(axis=1)
+            thr = srt[self._rows, self.dim - self._kernel_ranks]
+            np.greater_equal(zs, thr[:, None], out=ms)
+        counts = self._counts(mem)
+        if counts.sum() != self._ranks_total:  # exact iff no sample ties at its threshold
+            ranks = self._kernel_ranks
+            bad = np.nonzero(ms.sum(axis=1) != ranks)[0]
             # ties at the threshold: keep the lowest-index tied coordinates
-            zb = z[bad]
+            zb = zs[bad]
             thrb = thr[bad, None]
             gt = zb > thrb
             eq = zb == thrb
-            need = self.ranks[bad] - gt.sum(axis=1)
+            need = ranks[bad] - gt.sum(axis=1)
             keep = eq & (np.cumsum(eq, axis=1) <= need[:, None])
-            mem[bad] = gt | keep
-        return mem
+            ms[bad] = gt | keep
+            counts = self._counts(mem)
+        return mem, counts
+
+    def _network_thresholds(self) -> np.ndarray:
+        """Each sample's K_s-th largest entry of this thread's z, by the network."""
+        tls = self._scratch
+        rows = tls.rows
+        for a, b, lo, hi in self._steps:
+            if lo >= 0:
+                np.minimum(rows[a], rows[b], out=rows[lo])
+            if hi >= 0:
+                np.maximum(rows[a], rows[b], out=rows[hi])
+        thr = tls.thr
+        for lo, hi, row in self._thr_slices:
+            thr[lo:hi] = rows[row][lo:hi]
+        return thr
+
+    def _counts(self, mem: np.ndarray) -> np.ndarray:
+        """Member count of each coordinate."""
+        if self._coord_major:  # one fast count per contiguous row
+            return np.array([np.count_nonzero(row) for row in mem])
+        return mem.sum(axis=0, dtype=np.int64)
 
     def __repr__(self):
         return (

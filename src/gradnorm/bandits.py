@@ -390,6 +390,27 @@ def _subgradient_minimize(
     return best_x
 
 
+_GRID_CHUNK_ROWS = 1 << 16  # simplex-grid points scored per batch
+
+
+def _grid_argmin(spec: NormSpec, grid: np.ndarray, M: np.ndarray) -> int:
+    """``np.argmin`` of ``||M x||`` over the grid rows x, scored in row chunks.
+
+    Chunks keep the temporaries of ``grid @ M.T`` and ``eval_norm_rows`` to a
+    few MB.  A later chunk wins only with a strictly smaller value, and the
+    first NaN wins outright, so the index is the one ``np.argmin`` gives.
+    """
+    best, best_val = 0, math.inf
+    for lo in range(0, grid.shape[0], _GRID_CHUNK_ROWS):
+        vals = eval_norm_rows(spec, grid[lo : lo + _GRID_CHUNK_ROWS] @ M.T)
+        i = int(np.argmin(vals))
+        if not vals[i] >= best_val:
+            best, best_val = lo + i, vals[i]
+            if math.isnan(best_val):
+                break
+    return best
+
+
 def benchmark_fixed_bvc(instance: BanditInstance) -> tuple[np.ndarray, float]:
     """Best fixed action mixture for vector costs: min ||sum_t C_t x|| on the simplex.
 
@@ -406,8 +427,7 @@ def benchmark_fixed_bvc(instance: BanditInstance) -> tuple[np.ndarray, float]:
     candidates = [np.eye(instance.n)[0]]
     if instance.n <= 4:
         grid = _grid_points(instance.n, 200)
-        vals = eval_norm_rows(spec, grid @ M.T)
-        candidates.append(grid[int(np.argmin(vals))])
+        candidates.append(grid[_grid_argmin(spec, grid, M)])
     if instance.n > 1:
         candidates.append(_subgradient_minimize(f, instance.n))
     best = min(candidates, key=f)

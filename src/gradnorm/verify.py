@@ -237,11 +237,8 @@ def check_sandwich(
         rng = derive_rng(seed, "sandwich", t)
         x = _sample_point(rng, approx.dim, meta.epsilon)
         n = eval_norm(spec, x)
-        if hasattr(approx, "value_stats"):
-            v, se = approx.value_stats(x)
-            tol = max(abs_tol, 3.0 * se)
-        else:
-            v, tol = approx.value(x), abs_tol
+        v, se = approx.value_stats(x)
+        tol = max(abs_tol, 3.0 * se)
         lower_margin = v - low * n
         upper_margin = (a * n + additive) - v
         for margin, side in ((lower_margin, "lower"), (upper_margin, "upper")):

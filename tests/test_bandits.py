@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gradnorm import bandits
 from gradnorm.approx import GradStableApprox, build_approx
 from gradnorm.bandits import (
     BanditInstance,
@@ -20,8 +22,9 @@ from gradnorm.bandits import (
     read_bandit_instance,
     write_bandit_instance,
     _grid_points,
+    _subgradient_minimize,
 )
-from gradnorm.norms import eval_norm, l1, linf, normalize_spec, topk
+from gradnorm.norms import eval_norm, eval_norm_rows, l1, linf, lp, normalize_spec, topk
 from gradnorm.seeding import derive_rng
 
 
@@ -396,6 +399,64 @@ class TestGridPoints:
     def test_equals_recursive_grid_at_benchmark_size(self):
         assert (_grid_points(3, 200) == recursive_grid_points(3, 200)).all()
         assert (_grid_points(4, 100) == recursive_grid_points(4, 100)).all()
+
+
+def full_batch_benchmark_fixed_bvc(instance):
+    """benchmark_fixed_bvc with the whole grid scored in one batch."""
+    M = instance.total_costs
+    f = lambda x: eval_norm(instance.norm, M @ x)
+    candidates = [np.eye(instance.n)[0]]
+    if instance.n <= 4:
+        grid = _grid_points(instance.n, 200)
+        candidates.append(grid[int(np.argmin(eval_norm_rows(instance.norm, grid @ M.T)))])
+    if instance.n > 1:
+        candidates.append(_subgradient_minimize(f, instance.n))
+    best = min(candidates, key=f)
+    return best, f(best)
+
+
+class TestChunkedGrid:
+    """The grid is scored in row chunks; the point and value stay those of one batch."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("norm", ["linf", "topk", "lp"])
+    def test_equals_full_batch(self, n, norm):
+        d = 8
+        spec = {"linf": linf(d), "topk": topk(d, 3), "lp": lp(d, 2.5)}[norm]
+        rng = np.random.default_rng(90 + n)
+        for costs in (rng.uniform(0, 1, (30, d, n)), rng.integers(0, 2, (30, d, n)).astype(float)):
+            inst = bvc_instance(costs, normalize_spec(spec))
+            x, value = benchmark_fixed_bvc(inst)
+            want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
+            assert (x == want_x).all() and value == want_value
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_minimum_across_small_chunks(self, n, monkeypatch):
+        """Ties and NaN across chunk borders resolve as one np.argmin does."""
+        monkeypatch.setattr(bandits, "_GRID_CHUNK_ROWS", 7)
+        grid = _grid_points(n, 12)
+        spec = normalize_spec(linf(3))
+        rng = np.random.default_rng(95)
+        cases = [np.round(rng.uniform(0, 2, (3, n))), np.ones((3, n)), np.zeros((3, n))]
+        inf_col = rng.uniform(0, 1, (3, n))
+        inf_col[:, 0] = np.inf  # 0 * inf is NaN on grid points without action 0
+        cases.append(inf_col)
+        with np.errstate(invalid="ignore"):
+            for M in cases:
+                want = int(np.argmin(eval_norm_rows(spec, grid @ M.T)))
+                assert bandits._grid_argmin(spec, grid, M) == want
+
+    def test_peak_memory_bounded(self):
+        """n = 4 scores 1.37M grid points; one batch peaked at about 230 MB."""
+        rng = np.random.default_rng(96)
+        inst = bvc_instance(rng.uniform(0, 1, (20, 8, 4)))
+        tracemalloc.start()
+        try:
+            benchmark_fixed_bvc(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestBenchmarks:

@@ -8,6 +8,7 @@ import pytest
 from gradnorm.approx import (
     Leaf,
     Outer,
+    TopKApprox,
     build_nested_max_approx,
     build_symmetric_approx,
     gs_topk_approx,
@@ -119,6 +120,61 @@ class TestValueAndGrad:
             value, grad = psi.value_and_grad(x)
             assert value == psi.value(x)
             assert grad.shape == (6,) and (grad == psi.gradient(x)).all()
+
+
+def chain_rule_gradient(node, x):
+    """Gradient by the chain rule over child gradients, node by node."""
+    if isinstance(node, Outer):
+        weights = node.outer.gradient(np.array([c.value(x) for c in node.children]))
+        g = np.zeros(node.dim)
+        for w, child in zip(weights, node.children):
+            if w != 0.0:
+                g += w * chain_rule_gradient(child, x)
+        return g
+    if isinstance(node, Leaf):
+        return node._scatter(node.scale * chain_rule_gradient(node.inner, node._slice(x)))
+    return node.gradient(x)
+
+
+class TestEvaluationCounts:
+    """value_and_grad evaluates every top-k value once, nested builds included."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"value": 0, "gradient": 0}
+        for name in calls:
+            original = getattr(TopKApprox, name)
+
+            def wrapper(self, x, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(TopKApprox, name, wrapper)
+        return calls
+
+    def test_nested_evaluates_each_inner_value_once(self, monkeypatch):
+        specs = [normalize_spec(topk(8, 2)), normalize_spec(linf(8))]
+        psi = build_nested_max_approx([ones_profile(s) for s in specs], 8, 0.5,
+                                      samples=300, seed=45, inner_norms=specs)
+        x = np.random.default_rng(46).exponential(1.0, 16)
+        calls = self.counted(monkeypatch)
+        value = psi.value(x)
+        assert calls == {"value": 8, "gradient": 0}  # 2 resources x 4 dyadic leaves
+        calls.update(value=0)
+        got_value, got_grad = psi.value_and_grad(x)
+        assert calls == {"value": 8, "gradient": 8}
+        assert got_value == value
+        assert (got_grad == chain_rule_gradient(psi, x)).all()
+
+    def test_sym_counts(self, monkeypatch):
+        spec = normalize_spec(topk(16, 4))
+        psi = build_symmetric_approx(ones_profile(spec), 0.5, samples=300, seed=47, norm=spec)
+        x = np.random.default_rng(48).exponential(1.0, 16)
+        calls = self.counted(monkeypatch)
+        got_value, got_grad = psi.value_and_grad(x)
+        assert calls == {"value": 5, "gradient": 5}
+        assert got_value == psi.value(x)
+        assert (got_grad == chain_rule_gradient(psi, x)).all()
 
 
 class TestSymmetricBuild:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gradnorm.approx import TopKConfig, gs_topk_approx
-from gradnorm.approx.topk import _SCRATCH_FLOATS
+from gradnorm.approx.topk import _SCRATCH_FLOATS, _merge_network, _network_plan
 from gradnorm.norms import top_k_norm
 
 # Monte-Carlo estimate of E max(noise) in d=16 at eps=1, frozen at first build.
@@ -213,6 +213,199 @@ class TestValueKernelBitExact:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
+
+
+def reference_membership(tk, z):
+    """(S, d) top-K mask by a row sort, the K-th largest as threshold and a
+    lowest-index tie rule; z = x + noise in float32, samples in noise order."""
+    S, d = z.shape
+    rows = np.arange(S)
+    if tk.k == 1:
+        mem = np.zeros(z.shape, dtype=bool)
+        mem[rows, z.argmax(axis=1)] = True
+        return mem
+    thr = np.sort(z, axis=1)[rows, d - tk.ranks][:, None]
+    gt = z > thr
+    eq = z == thr
+    need = tk.ranks - gt.sum(axis=1)
+    return gt | (eq & (np.cumsum(eq, axis=1) <= need[:, None]))
+
+
+def reference_gradient(tk, x):
+    z = np.asarray(x, dtype=np.float32) + tk.noise.astype(np.float32)
+    return reference_membership(tk, z).sum(axis=0, dtype=np.int64) / tk.cfg.samples
+
+
+def reference_pair(tk, x, y, w1, w0):
+    z0 = np.asarray(x, dtype=np.float32) + tk.noise.astype(np.float32)
+    z1 = z0 + np.asarray(y, dtype=np.float32)
+    mem0 = reference_membership(tk, z0)
+    mem1 = reference_membership(tk, z1)
+    n = tk.cfg.samples
+    m0 = mem0.sum(axis=0, dtype=np.int64) / n
+    m1 = mem1.sum(axis=0, dtype=np.int64) / n
+    m10 = (mem0 & mem1).sum(axis=0, dtype=np.int64) / n
+    mean = w1 * m1 - w0 * m0
+    second = w1 * w1 * m1 + w0 * w0 * m0 - 2.0 * w1 * w0 * m10
+    var = np.maximum(second - mean * mean, 0.0)
+    return mean, np.sqrt(var / n)
+
+
+class TestMembershipKernelBitExact:
+    """gradient and pair_margin_stats equal the row-sort formula float for float,
+    on both sides of the d = 16 switch from the comparator network to the sort."""
+
+    def assert_exact(self, tk, x, y, w1=1.0, w0=0.6):
+        assert np.array_equal(tk.gradient(x), reference_gradient(tk, x), equal_nan=True)
+        got = tk.pair_margin_stats(x, y, w1, w0)
+        want = reference_pair(tk, x, y, w1, w0)
+        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("d", [8, 16, 17, 64])
+    def test_k_one_middle_and_d(self, d):
+        rng = np.random.default_rng(50 + d)
+        for k in (1, d // 2 - 1, d):
+            tk = gs_topk_approx(d, k, 0.5, samples=3000, seed=51 + k)
+            for scale in (0.0, 0.1, 1.0, 100.0):
+                x = rng.exponential(1.0, d) * scale
+                self.assert_exact(tk, x, rng.exponential(0.3, d))
+
+    def test_many_samples(self):
+        tk = gs_topk_approx(16, 4, 1.0, samples=100_000, seed=52)
+        rng = np.random.default_rng(53)
+        self.assert_exact(tk, rng.uniform(0.0, 3.0, 16), rng.exponential(0.2, 16))
+
+    @pytest.mark.parametrize("d", [6, 16, 17])
+    def test_ties(self, d):
+        # integer inputs with zeroed noise rows tie whole rows at the threshold
+        rng = np.random.default_rng(54)
+        for k in (1, 3, d):
+            tk = gs_topk_approx(d, k, 1.0, samples=400, seed=55 + k)
+            tk.noise[::3] = 0.0
+            tk._noise32 = None  # drop the cached float32 copy
+            for x in (np.ones(d), np.zeros(d), rng.integers(0, 3, d).astype(float)):
+                self.assert_exact(tk, x, rng.integers(0, 2, d).astype(float))
+
+    @pytest.mark.parametrize("d", [8, 17])
+    def test_non_finite_input_takes_the_row_sort(self, d):
+        """NaN and infinity go to the row sort (NaN ordered last), not the
+        network, which would spread a NaN to every row it meets."""
+        tk = gs_topk_approx(d, 3, 1.0, samples=500, seed=56)
+        tk1 = gs_topk_approx(d, 1, 1.0, samples=500, seed=58)
+        rng = np.random.default_rng(57)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            x = rng.exponential(1.0, d)
+            x[2] = np.nan
+            self.assert_exact(tk, x, rng.exponential(1.0, d))
+            x = rng.exponential(1.0, d)
+            y = rng.exponential(1.0, d)
+            y[1], x[4] = np.inf, -np.inf
+            self.assert_exact(tk, x, y)
+            self.assert_exact(tk, np.full(d, np.inf), np.full(d, -np.inf))
+            self.assert_exact(tk1, np.where(np.arange(d) == 3, np.nan, 1.0), np.zeros(d))
+
+    def test_threads_share_one_instance(self):
+        d = 16
+        tk = gs_topk_approx(d, 4, 1.0, samples=5000, seed=59)
+        xs = [np.random.default_rng(60 + i).uniform(0.0, 4.0, d) for i in range(6)]
+        ys = [np.random.default_rng(70 + i).exponential(0.3, d) for i in range(6)]
+        want = [(reference_gradient(tk, x), reference_pair(tk, x, y, 1.0, 0.5))
+                for x, y in zip(xs, ys)]
+        errors = []
+
+        def work(offset):
+            try:
+                for rep in range(5):
+                    for j in range(len(xs)):
+                        jj = (j + offset + rep) % len(xs)
+                        g = tk.gradient(xs[jj])
+                        mean, se = tk.pair_margin_stats(xs[jj], ys[jj], 1.0, 0.5)
+                        wg, (wm, ws) = want[jj]
+                        if not ((g == wg).all() and (mean == wm).all() and (se == ws).all()):
+                            errors.append((offset, jj))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(off,)) for off in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+
+    def test_float32_noise_is_published_whole(self):
+        """Threads that find the float32 noise copy built never read a part of it."""
+        d = 16
+        tk = gs_topk_approx(d, 4, 1.0, samples=20_000, seed=62)
+        x = np.random.default_rng(63).uniform(0.0, 4.0, d)
+        want = reference_gradient(tk, x)
+        errors = []
+        stop = threading.Event()
+
+        def work():
+            try:
+                while not stop.is_set():
+                    if not (tk.gradient(x) == want).all():
+                        errors.append("gradient")
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for _ in range(200):
+                tk._noise32 = None  # force a rebuild while the others compute
+                tk.gradient(x)
+        finally:
+            stop.set()
+            for th in threads:
+                th.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+
+class TestMergeNetwork:
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_sorts_every_zero_one_input(self, d):
+        """A comparator network sorts all inputs iff it sorts all 0/1 inputs."""
+        bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+        cols = [bits[:, i].copy() for i in range(d)]
+        for a, b in _merge_network(d):
+            cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+        assert (np.diff(np.stack(cols, axis=1), axis=1) >= 0).all()
+
+    def test_comparator_count(self):
+        assert len(_merge_network(16)) == 63
+        assert len(_merge_network(8)) == 19
+
+    @pytest.mark.parametrize("outputs", [[15], [0], [3, 12, 15], list(range(16))])
+    def test_pruned_plan_leaves_wanted_order_statistics(self, outputs):
+        d = 16
+        z = np.random.default_rng(61).permutation(d * 500).reshape(d, 500).astype(float)
+        steps, wire, pool = _network_plan(d, outputs)
+        rows = [*z.copy(), *np.empty((pool, 500))]
+        for a, b, lo, hi in steps:
+            if lo >= 0:
+                np.minimum(rows[a], rows[b], out=rows[lo])
+            if hi >= 0:
+                np.maximum(rows[a], rows[b], out=rows[hi])
+        srt = np.sort(z, axis=0)
+        for w in outputs:
+            assert (rows[wire[w]] == srt[w]).all()
+        assert (np.stack(rows[:d]) == z).all()  # the inputs are only read
+        if outputs == [15]:  # the maximum alone is d - 1 max operations
+            assert len(steps) == d - 1 and all(lo == -1 for _, _, lo, _ in steps)
 
 
 class TestGradient:

@@ -137,6 +137,16 @@ class TestSandwich:
         assert rep.passed
         assert tk.meta.lower_scale < 1.0
 
+    def test_deterministic_surrogates_keep_the_absolute_tolerance(self):
+        """Without a value_stats of its own a surrogate reports a standard
+        error of 0, so the sandwich tolerance stays ``abs_tol``."""
+        stub = MaxStub(6)
+        x = np.arange(6.0)
+        assert stub.value_stats(x) == (stub.value(x), 0.0)
+        for approx, spec in ((stub, linf(6)), (softmax_approx(6, 0.5), normalize_spec(linf(6)))):
+            rep = check_sandwich(approx, spec, trials=50, abs_tol=1e-7, seed=14)
+            assert rep.tolerance == 1e-7
+
     def test_wrong_alpha_fails(self):
         tk = gs_topk_approx(16, 4, 1.0, samples=5000, seed=12)
         rep = check_sandwich(tk, normalize_spec(topk(16, 4)), alpha=0.1, gamma=0.0,
