@@ -10,7 +10,6 @@ empirically.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,15 +62,6 @@ class GradStableApprox:
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
         """``(value(x), gradient(x))``; overridden where the two share work."""
         return self.value(x), self.gradient(x)
-
-    def value_and_deferred_grad(self, x) -> tuple[float, Callable[[], np.ndarray]]:
-        """``value(x)`` now and a function that returns ``gradient(x)`` later.
-
-        A composite parent evaluates every child value but needs only the
-        gradients of children with a nonzero outer weight; composites override
-        this so that a later gradient reuses the values already evaluated.
-        """
-        return self.value(x), lambda: self.gradient(x)
 
     def value_stats(self, x) -> tuple[float, float]:
         """(value, standard error); 0.0 except for Monte-Carlo estimators."""

@@ -89,10 +89,6 @@ class Leaf(GradStableApprox):
         v, g = self.inner.value_and_grad(self._slice(x))
         return self.scale * v, self._scatter(self.scale * g)
 
-    def value_and_deferred_grad(self, x):
-        v, grad = self.inner.value_and_deferred_grad(self._slice(x))
-        return self.scale * v, lambda: self._scatter(self.scale * grad())
-
     def _scatter(self, g: np.ndarray) -> np.ndarray:
         if self.subset is None:
             return g
@@ -179,23 +175,15 @@ class Outer(GradStableApprox):
         return self.value_and_grad(x)[1]
 
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
-        value, grad = self.value_and_deferred_grad(x)
-        return value, grad()
-
-    def value_and_deferred_grad(self, x):
-        """Child values once; the gradient is the chain rule over the outer
-        weights, taking only the children with a nonzero weight."""
-        children = [c.value_and_deferred_grad(x) for c in self.children]
+        """Each child's value and gradient once, then the chain rule over the
+        outer weights."""
+        children = [c.value_and_grad(x) for c in self.children]
         value, weights = self.outer.value_and_grad(np.array([v for v, _ in children]))
-
-        def grad() -> np.ndarray:
-            g = np.zeros(self.dim)
-            for w, (_, child_grad) in zip(weights, children):
-                if w != 0.0:
-                    g += w * child_grad()
-            return g
-
-        return value, grad
+        g = np.zeros(self.dim)
+        for w, (_, child_grad) in zip(weights, children):
+            if w != 0.0:
+                g += w * child_grad
+        return value, g
 
     def pair_margin_stats(self, x, y, w1: float, w0: float):
         x = self._vec(x)

@@ -21,21 +21,22 @@ Gradients and the paired margins of the stability check count, per
 coordinate, the samples whose top K_s contains it, in a float32 kernel;
 counts stay exact (exactly K_s coordinates per sample, ties broken by value
 then lowest index).  A coordinate is a member when z >= the K_s-th largest
-entry of z = x + nu_s.  Up to d = 16 the kernel is coordinate-major: z is a
-(d, S) array with one length-S row per coordinate, its samples stored in
-rank order, and the thresholds come from a sorting network over those rows,
-Batcher's odd-even merge sort pruned to d wires (63 comparators at d = 16)
-and to the sorted rows some rank needs.  A comparator is one np.minimum and
-one np.maximum over whole rows into a pool of scratch rows, and the network
+entry of z = x + nu_s.  The kernel is coordinate-major: z is a (d, S) array
+with one length-S row per coordinate, its samples stored in rank order, and
+the thresholds come from a sorting network over those rows, Batcher's
+odd-even merge sort pruned to d wires (63 comparators at d = 16) and to the
+sorted rows some rank needs.  A comparator is one np.minimum and one
+np.maximum over whole rows into a pool of scratch rows, and the network
 moves row indices, not data.  Each rank's threshold is then one slice of
 sorted row d - K, members are one >= over the whole array, and counts are
-one np.count_nonzero per row.  At S = 100k, d = 16 this halves the paired
-kernel against the row sort.  Above d = 16 the network measured slower than
-a row sort of the (S, d) layout on a 2-vCPU Xeon VM (d = 24, S = 2000: 1.18
-against 0.88 ms; d = 64, S = 100k: 101-113 against 84-100 ms), so larger d
-keeps the row sort, and so does any input with a NaN or an infinity at any
-d: the row sort orders NaN last, while the network would spread it to every
-row it meets.
+one np.count_nonzero per row.  Input with a NaN or an infinity sorts each
+sample's row of a transposed copy instead: the sort orders NaN last, while
+the network would spread a NaN to every row it meets.  Against a row sort of
+the (S, d) layout, on one core of a 2-vCPU Xeon VM: the paired kernel at
+S = 100k takes 10-12 ms a call against 34-43 ms at d = 16, and about 94
+against 82-94 ms at d = 64; a gradient at S = 2000, d = 64 takes about three
+times as long (1.5 against 0.5 ms), since each of the network's row steps
+(up to 543 at d = 64) is a separate numpy call.
 
 The value kernel computes every sample's top-K_s sum in float64, adding the
 K_s largest entries of x + nu_s one at a time, largest first: the order of a
@@ -53,6 +54,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +64,6 @@ from .base import ApproxMeta, GradStableApprox
 __all__ = ["TopKConfig", "TopKApprox", "gs_topk_approx"]
 
 _SCRATCH_FLOATS = 1 << 17  # float64 value-kernel scratch per thread: 1 MiB
-_NETWORK_MAX_DIM = 16  # above this the row sort beats the comparator network
 _value_scratch = threading.local()
 
 
@@ -173,6 +174,14 @@ def _network_plan(d: int, outputs) -> tuple[list[tuple[int, int, int, int]], lis
     return steps, wire, pool
 
 
+class _MembershipPlan(NamedTuple):
+    order: np.ndarray  # stable argsort of the ranks: the kernel's sample order
+    ranks: np.ndarray  # the ranks in that order, ascending
+    steps: list[tuple[int, int, int, int]]  # network row steps, see _network_plan
+    pool_rows: int
+    thr_slices: list[tuple[int, int, int]]  # samples lo:hi take their threshold from row
+
+
 class TopKApprox(GradStableApprox):
     def __init__(self, dim: int, k: int, epsilon: float, samples: int = 2000, seed: int = 0):
         cfg = TopKConfig(dim, k, epsilon, samples, seed)
@@ -187,7 +196,6 @@ class TopKApprox(GradStableApprox):
         self._noise32 = None
         self._rows = np.arange(cfg.samples)
         self._ranks_total = int(self.ranks.sum())
-        self._plan_membership()
         self._value_chunks = self._chunk_plan()
         self._scratch = threading.local()  # per-thread kernel buffers
         self.mean_rank = float(self.ranks.mean())
@@ -221,7 +229,7 @@ class TopKApprox(GradStableApprox):
     def gradient(self, x) -> np.ndarray:
         x32 = np.asarray(x, dtype=np.float32)
         z = self._perturbed(x32)
-        _, counts = self._membership(z, 0, self._use_network(x32))
+        _, counts = self._membership(z, 0, bool(np.isfinite(x32).all()))
         return counts / self.cfg.samples
 
     def pair_margin_stats(self, x, y, w1: float, w0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -233,10 +241,10 @@ class TopKApprox(GradStableApprox):
         """
         x32 = np.asarray(x, dtype=np.float32)
         y32 = np.asarray(y, dtype=np.float32)
-        network = self._use_network(x32, y32)
+        network = bool(np.isfinite(x32).all() and np.isfinite(y32).all())
         z = self._perturbed(x32)
         mem0, c0 = self._membership(z, 0, network)
-        np.add(z, self._coords(y32), out=z)  # (x + noise) + y
+        np.add(z, y32[:, None], out=z)  # (x + noise) + y
         mem1, c1 = self._membership(z, 1, network)
         np.logical_and(mem0, mem1, out=mem0)
         n = self.cfg.samples
@@ -295,46 +303,33 @@ class TopKApprox(GradStableApprox):
                     chunk_out[rows] = acc[rows]
         return out
 
-    def _plan_membership(self) -> None:
-        """Membership layout: coordinate-major with a comparator network up to
-        d = 16, sample-major with a row sort above."""
+    @functools.cached_property
+    def _plan(self) -> _MembershipPlan:
+        """Samples in rank order, so each rank's thresholds are one slice, and
+        the network steps that leave the sorted rows those ranks need.  Built
+        on first use: instances that only take values never need it."""
         d = self.dim
-        self._coord_major = d <= _NETWORK_MAX_DIM
-        if not self._coord_major:
-            self._kernel_ranks = self.ranks
-            return
-        # samples in rank order, so each rank's thresholds are one slice
-        self._order = np.argsort(self.ranks, kind="stable")
-        self._kernel_ranks = self.ranks[self._order]
-        edges = np.searchsorted(self._kernel_ranks, np.arange(1, d + 2))
+        order = np.argsort(self.ranks, kind="stable")
+        ranks = self.ranks[order]
+        edges = np.searchsorted(ranks, np.arange(1, d + 2))
         present = [r for r in range(1, d + 1) if edges[r] > edges[r - 1]]
-        self._steps, wire, self._pool_rows = _network_plan(d, [d - r for r in present])
-        self._thr_slices = [(int(edges[r - 1]), int(edges[r]), wire[d - r]) for r in present]
+        steps, wire, pool_rows = _network_plan(d, [d - r for r in present])
+        thr_slices = [(int(edges[r - 1]), int(edges[r]), wire[d - r]) for r in present]
+        return _MembershipPlan(order, ranks, steps, pool_rows, thr_slices)
 
     def _noise_f32(self) -> np.ndarray:
-        """float32 noise in the kernel layout, built on first use from ``noise``."""
+        """float32 (d, S) noise in rank order, built on first use from ``noise``."""
         if self._noise32 is None:
-            if self._coord_major:  # row by row: no (d, S) float64 temporary
-                noise32 = np.empty((self.dim, self.cfg.samples), dtype=np.float32)
-                for i, row in enumerate(noise32):
-                    row[:] = self.noise[self._order, i]
-            else:
-                noise32 = self.noise.astype(np.float32)
+            noise32 = np.empty((self.dim, self.cfg.samples), dtype=np.float32)
+            for i, row in enumerate(noise32):  # row by row: no (d, S) float64 temporary
+                row[:] = self.noise[self._plan.order, i]
             self._noise32 = noise32  # published whole: other threads may be reading
         return self._noise32
-
-    def _coords(self, v32: np.ndarray) -> np.ndarray:
-        """A length-d vector shaped to broadcast over the kernel layout."""
-        return v32.reshape(-1, 1) if self._coord_major else v32
-
-    def _use_network(self, *vs: np.ndarray) -> bool:
-        """Whether the network may run: with finite inputs no entry of z is NaN."""
-        return self._coord_major and all(np.isfinite(v).all() for v in vs)
 
     def _perturbed(self, x32: np.ndarray) -> np.ndarray:
         """This thread's z buffer, filled with x + noise in float32."""
         z = self._buffers().z
-        np.add(self._noise_f32(), self._coords(x32), out=z)
+        np.add(self._noise_f32(), x32[:, None], out=z)
         return z
 
     def _buffers(self):
@@ -342,21 +337,20 @@ class TopKApprox(GradStableApprox):
         tls = self._scratch
         if getattr(tls, "z", None) is None:
             S, d = self.cfg.samples, self.dim
-            shape = (d, S) if self._coord_major else (S, d)
-            tls.z = np.empty(shape, dtype=np.float32)
-            tls.mask = [np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)]
+            tls.z = np.empty((d, S), dtype=np.float32)
+            tls.mask = [np.empty((d, S), dtype=bool), np.empty((d, S), dtype=bool)]
             tls.sort = None
-            if self._coord_major:
-                tls.rows = [*tls.z, *np.empty((self._pool_rows, S), dtype=np.float32)]
-                tls.thr = np.empty(S, dtype=np.float32)
+            tls.rows = [*tls.z, *np.empty((self._plan.pool_rows, S), dtype=np.float32)]
+            tls.thr = np.empty(S, dtype=np.float32)
         return tls
 
     def _membership(self, z: np.ndarray, slot: int, network: bool):
-        """Mask of the coordinates among the K_s largest of each sample, in the
-        kernel layout, and the member count of each coordinate."""
+        """(d, S) mask of the coordinates among the K_s largest of each sample,
+        and the member count of each coordinate; ``network`` is False when z
+        may hold a NaN."""
         tls = self._scratch
         mem = tls.mask[slot]
-        zs, ms = (z.T, mem.T) if self._coord_major else (z, mem)  # sample-major views
+        zs, ms = z.T, mem.T  # sample-major views
         if network:
             thr = self._network_thresholds()
             np.greater_equal(z, thr, out=mem)
@@ -370,11 +364,11 @@ class TopKApprox(GradStableApprox):
             srt = tls.sort
             np.copyto(srt, zs)
             srt.sort(axis=1)
-            thr = srt[self._rows, self.dim - self._kernel_ranks]
+            thr = srt[self._rows, self.dim - self._plan.ranks]
             np.greater_equal(zs, thr[:, None], out=ms)
         counts = self._counts(mem)
         if counts.sum() != self._ranks_total:  # exact iff no sample ties at its threshold
-            ranks = self._kernel_ranks
+            ranks = self._plan.ranks
             bad = np.nonzero(ms.sum(axis=1) != ranks)[0]
             # ties at the threshold: keep the lowest-index tied coordinates
             zb = zs[bad]
@@ -391,21 +385,20 @@ class TopKApprox(GradStableApprox):
         """Each sample's K_s-th largest entry of this thread's z, by the network."""
         tls = self._scratch
         rows = tls.rows
-        for a, b, lo, hi in self._steps:
+        plan = self._plan
+        for a, b, lo, hi in plan.steps:
             if lo >= 0:
                 np.minimum(rows[a], rows[b], out=rows[lo])
             if hi >= 0:
                 np.maximum(rows[a], rows[b], out=rows[hi])
         thr = tls.thr
-        for lo, hi, row in self._thr_slices:
+        for lo, hi, row in plan.thr_slices:
             thr[lo:hi] = rows[row][lo:hi]
         return thr
 
     def _counts(self, mem: np.ndarray) -> np.ndarray:
-        """Member count of each coordinate."""
-        if self._coord_major:  # one fast count per contiguous row
-            return np.array([np.count_nonzero(row) for row in mem])
-        return mem.sum(axis=0, dtype=np.int64)
+        """Member count of each coordinate: one fast count per contiguous row."""
+        return np.array([np.count_nonzero(row) for row in mem])
 
     def __repr__(self):
         return (

@@ -394,21 +394,16 @@ _GRID_CHUNK_ROWS = 1 << 16  # simplex-grid points scored per batch
 
 
 def _grid_argmin(spec: NormSpec, grid: np.ndarray, M: np.ndarray) -> int:
-    """``np.argmin`` of ``||M x||`` over the grid rows x, scored in row chunks.
+    """``np.argmin`` of ``||M x||`` over the grid rows x.
 
-    Chunks keep the temporaries of ``grid @ M.T`` and ``eval_norm_rows`` to a
-    few MB.  A later chunk wins only with a strictly smaller value, and the
-    first NaN wins outright, so the index is the one ``np.argmin`` gives.
+    The rows are scored in chunks, so the temporaries of ``grid @ M.T`` and
+    ``eval_norm_rows`` stay a few MB; only the values of all rows are kept.
     """
-    best, best_val = 0, math.inf
+    vals = np.empty(grid.shape[0])
     for lo in range(0, grid.shape[0], _GRID_CHUNK_ROWS):
-        vals = eval_norm_rows(spec, grid[lo : lo + _GRID_CHUNK_ROWS] @ M.T)
-        i = int(np.argmin(vals))
-        if not vals[i] >= best_val:
-            best, best_val = lo + i, vals[i]
-            if math.isnan(best_val):
-                break
-    return best
+        hi = lo + _GRID_CHUNK_ROWS
+        vals[lo:hi] = eval_norm_rows(spec, grid[lo:hi] @ M.T)
+    return int(np.argmin(vals))
 
 
 def benchmark_fixed_bvc(instance: BanditInstance) -> tuple[np.ndarray, float]:

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradnorm import bandits
 from gradnorm.approx import GradStableApprox, build_approx
 from gradnorm.bandits import (
     BanditInstance,
@@ -429,22 +428,6 @@ class TestChunkedGrid:
             x, value = benchmark_fixed_bvc(inst)
             want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
             assert (x == want_x).all() and value == want_value
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_first_minimum_across_small_chunks(self, n, monkeypatch):
-        """Ties and NaN across chunk borders resolve as one np.argmin does."""
-        monkeypatch.setattr(bandits, "_GRID_CHUNK_ROWS", 7)
-        grid = _grid_points(n, 12)
-        spec = normalize_spec(linf(3))
-        rng = np.random.default_rng(95)
-        cases = [np.round(rng.uniform(0, 2, (3, n))), np.ones((3, n)), np.zeros((3, n))]
-        inf_col = rng.uniform(0, 1, (3, n))
-        inf_col[:, 0] = np.inf  # 0 * inf is NaN on grid points without action 0
-        cases.append(inf_col)
-        with np.errstate(invalid="ignore"):
-            for M in cases:
-                want = int(np.argmin(eval_norm_rows(spec, grid @ M.T)))
-                assert bandits._grid_argmin(spec, grid, M) == want
 
     def test_peak_memory_bounded(self):
         """n = 4 scores 1.37M grid points; one batch peaked at about 230 MB."""

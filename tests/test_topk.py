@@ -253,7 +253,7 @@ def reference_pair(tk, x, y, w1, w0):
 
 class TestMembershipKernelBitExact:
     """gradient and pair_margin_stats equal the row-sort formula float for float,
-    on both sides of the d = 16 switch from the comparator network to the sort."""
+    at d up to 64, where the network has 543 comparators."""
 
     def assert_exact(self, tk, x, y, w1=1.0, w0=0.6):
         assert np.array_equal(tk.gradient(x), reference_gradient(tk, x), equal_nan=True)
@@ -302,6 +302,9 @@ class TestMembershipKernelBitExact:
             y[1], x[4] = np.inf, -np.inf
             self.assert_exact(tk, x, y)
             self.assert_exact(tk, np.full(d, np.inf), np.full(d, -np.inf))
+            x = rng.exponential(1.0, d)  # finite x, non-finite y
+            self.assert_exact(tk, x, np.where(np.arange(d) == 2, np.nan, 0.5))
+            self.assert_exact(tk, x, np.where(np.arange(d) == 5, -np.inf, 0.5))
             self.assert_exact(tk1, np.where(np.arange(d) == 3, np.nan, 1.0), np.zeros(d))
 
     def test_threads_share_one_instance(self):
@@ -384,6 +387,14 @@ class TestMergeNetwork:
         for a, b in _merge_network(d):
             cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
         assert (np.diff(np.stack(cols, axis=1), axis=1) >= 0).all()
+
+    @pytest.mark.parametrize("d", [17, 24, 33, 64])
+    def test_sorts_distinct_values_above_sixteen(self, d):
+        z = np.random.default_rng(64 + d).permutation(d * 300).reshape(d, 300)
+        cols = list(z)
+        for a, b in _merge_network(d):
+            cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+        assert (np.stack(cols) == np.sort(z, axis=0)).all()
 
     def test_comparator_count(self):
         assert len(_merge_network(16)) == 63
