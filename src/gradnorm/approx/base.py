@@ -10,7 +10,7 @@ empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class ApproxMeta:
     # the sandwich lower bound is lower_scale * ||x|| <= value(x); 1.0 except
     # for the raw perturbed top-k estimator, which undershoots by a constant.
     lower_scale: float = 1.0
-
-    def with_seed(self, seed: int | None) -> "ApproxMeta":
-        return replace(self, seed=seed)
 
 
 class GradStableApprox:

@@ -18,10 +18,11 @@ vector-scheduling style objectives.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from ..norms import NormSpec, OnesProfile, replace_scale
+from ..norms import NormSpec, OnesProfile
 from ..seeding import derive_seed
 from .base import ApproxMeta, GradStableApprox
 from .shifted_lp import ShiftedLpApprox
@@ -112,7 +113,7 @@ class Leaf(GradStableApprox):
         spec = self.inner.norm_spec()
         if spec is None or self.scale == 1.0:
             return spec
-        return replace_scale(spec, spec.scale / self.scale)
+        return replace(spec, scale=spec.scale / self.scale)
 
     def __repr__(self):
         sub = "all" if self.subset is None else f"{len(self.subset)} coords"

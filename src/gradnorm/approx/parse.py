@@ -29,15 +29,6 @@ class ApproxSpec:
     k: int | None = None
     r: int | None = None
 
-    def describe(self) -> str:
-        if self.kind == "slp":
-            return f"slp:{self.p:g}"
-        if self.kind == "gstopk":
-            return f"gstopk:{self.k}"
-        if self.kind == "nested":
-            return f"nested:{self.r}"
-        return self.kind
-
 
 def parse_approx_spec(text: str) -> ApproxSpec:
     head, sep, rest = text.partition(":")

@@ -41,7 +41,6 @@ __all__ = [
     "benchmark_fixed_bwk",
     "project_simplex",
     "read_bandit_instance",
-    "write_bandit_instance",
     "format_bandit_instance",
 ]
 
@@ -507,11 +506,6 @@ def format_bandit_instance(instance: BanditInstance) -> str:
             row["r"] = instance.rewards[t].tolist()
         lines.append(json.dumps(row, sort_keys=True))
     return "\n".join(lines) + "\n"
-
-
-def write_bandit_instance(path: str, instance: BanditInstance) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_bandit_instance(instance))
 
 
 def read_bandit_instance(path: str) -> BanditInstance:

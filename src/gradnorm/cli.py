@@ -9,9 +9,12 @@
     gradnorm bench bwk --instance arms.jsonl
     gradnorm gen --problem lb --family uniform --m 3 --k 2 --T 8 --seed 42 --out jobs.jsonl
 
-Every subcommand accepts ``--config file.json`` whose entries override the
-flags.  Exit codes: 0 all checks/runs pass, 1 violation or ratio regression,
-2 usage error.
+Every subcommand accepts ``--config file.json``, a JSON object whose entries
+override the flags.  ``harness`` turns each ``run`` config into runs: without
+``--seeds``, ``lb``/``vs run`` writes one trace JSON (to stdout when ``--out``
+is not given); with ``--seeds N``, and for ``bwk``/``bvc run``, it writes a
+CSV plus ``<out>.summary.json``.  Exit codes: 0 all checks/runs pass,
+1 violation or ratio regression, 2 usage error.
 """
 
 from __future__ import annotations
@@ -53,36 +56,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-cap", dest="y_cap", type=float, default=1.0)
     p.add_argument("--out")
 
-    lbp = sub.add_parser("lb", help="online generalized load balancing")
-    lbsub = lbp.add_subparsers(dest="subcommand", required=True)
-    p = add_config(lbsub.add_parser("run"))
-    p.add_argument("--instance", required=True)
-    p.add_argument("--approx", default="sym")
-    p.add_argument("--opt", default="auto:1.0", help="given:<v> or auto:<v0>")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=None, help="multi-seed experiment mode")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--theta", type=float, default=8.0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-ratio", dest="max_ratio", type=float, default=None)
-    p.add_argument("--out")
-    p = add_config(lbsub.add_parser("brute"))
-    p.add_argument("--instance", required=True)
-    p.add_argument("--out")
-
-    vsp = sub.add_parser("vs", help="online vector scheduling")
-    vssub = vsp.add_subparsers(dest="subcommand", required=True)
-    p = add_config(vssub.add_parser("run"))
-    p.add_argument("--instance", required=True)
-    p.add_argument("--approx", default=None, help="defaults to nested:<r> from the instance")
-    p.add_argument("--opt", default="auto:1.0")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--theta", type=float, default=8.0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-ratio", dest="max_ratio", type=float, default=None)
-    p.add_argument("--out")
+    for name, help_text in (("lb", "online generalized load balancing"),
+                            ("vs", "online vector scheduling")):
+        gp = sub.add_parser(name, help=help_text)
+        gsub = gp.add_subparsers(dest="subcommand", required=True)
+        p = add_config(gsub.add_parser("run"))
+        p.add_argument("--instance", required=True)
+        p.add_argument("--approx", default=None, help="defaults to nested:<r> or sym from the instance")
+        p.add_argument("--opt", default="auto:1.0", help="given:<v> or auto:<v0>")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seeds", type=int, default=None, help="multi-seed experiment mode")
+        p.add_argument("--samples", type=int, default=2000)
+        p.add_argument("--theta", type=float, default=8.0)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--max-ratio", dest="max_ratio", type=float, default=None)
+        p.add_argument("--out")
+        if name == "lb":
+            p = add_config(gsub.add_parser("brute"))
+            p.add_argument("--instance", required=True)
+            p.add_argument("--out")
 
     for name in ("bwk", "bvc"):
         gp = sub.add_parser(name, help=f"{name} bandit runs")
@@ -130,16 +122,11 @@ def _apply_config(args: argparse.Namespace) -> dict:
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
-            config.update(json.load(fh))
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, got {type(entries).__name__}")
+        config.update(entries)
     return config
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out:
-        harness.atomic_write_text(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,46 +144,19 @@ def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "verify":
         report = harness.run_verify_config(cfg)
-        _emit(report.to_dict(), cfg.get("out"))
+        harness.dump_json(cfg.get("out"), report.to_dict())
         print(f"check={report.name} passed={report.passed} worst_margin={report.worst_margin:g}")
         return 0 if report.passed else CHECK_FAILED
 
-    if cmd in ("lb", "vs") and args.subcommand == "run":
+    if getattr(args, "subcommand", None) == "run":
         cfg["problem"] = cmd
-        instance = lb.read_lb_instance(cfg["instance"])
-        if cmd == "vs" and not instance.is_vector_scheduling:
-            raise ValueError("vs run needs an instance with resource structure")
-        if cfg.get("approx") is None:
-            cfg["approx"] = f"nested:{instance.r}" if instance.is_vector_scheduling else "sym"
-        if cfg.get("seeds") is not None:
-            summary = harness.run_experiment(cfg)
-            print(
-                f"{cmd} runs={summary['runs']} mean_ratio={summary['mean_ratio']:g} "
-                f"max_ratio={summary['max_ratio']:g} passed={summary['passed']}"
-            )
-            return 0 if summary["passed"] else CHECK_FAILED
-        builder = harness._approx_builder(cfg["approx"], int(cfg.get("samples", 2000)), instance)
-        trace = lb.run_greedy(
-            instance,
-            builder,
-            harness._parse_opt_mode(cfg.get("opt", "auto:1.0")),
-            seed=int(cfg.get("seed", 0)),
-            theta=float(cfg.get("theta", 8.0)),
-        )
-        _emit(trace.to_dict(), cfg.get("out"))
-        print(f"{cmd} final_norm={trace.final_norm:g} final_psi={trace.final_psi:g}")
-        bound = cfg.get("max_ratio")
-        return 0 if bound is None or trace.final_norm <= float(bound) else CHECK_FAILED
-
-    if cmd == "lb" and args.subcommand == "brute":
-        instance = lb.read_lb_instance(cfg["instance"])
-        value, assignment = lb.brute_force_opt(instance)
-        _emit({"value": value, "assignment": list(assignment)}, cfg.get("out"))
-        print(f"brute value={value:g}")
-        return 0
-
-    if cmd in ("bwk", "bvc") and args.subcommand == "run":
-        cfg["problem"] = cmd
+        if cmd in ("lb", "vs") and cfg.get("seeds") is None:
+            _, _, run = harness.greedy_runner(cfg)
+            trace = run(int(cfg.get("seed", 0)))
+            harness.dump_json(cfg.get("out"), trace.to_dict())
+            print(f"{cmd} final_norm={trace.final_norm:g} final_psi={trace.final_psi:g}")
+            bound = cfg.get("max_ratio")
+            return 0 if bound is None or trace.final_norm <= float(bound) else CHECK_FAILED
         summary = harness.run_experiment(cfg)
         print(
             f"{cmd} runs={summary['runs']} mean_ratio={summary['mean_ratio']:g} "
@@ -204,13 +164,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return 0 if summary["passed"] else CHECK_FAILED
 
+    if cmd == "lb" and args.subcommand == "brute":
+        value, assignment = lb.brute_force_opt(lb.read_lb_instance(cfg["instance"]))
+        harness.dump_json(cfg.get("out"), {"value": value, "assignment": list(assignment)})
+        print(f"brute value={value:g}")
+        return 0
+
     if cmd == "bench":
         instance = bd.read_bandit_instance(cfg["instance"])
         if args.kind == "bvc":
             x, value = bd.benchmark_fixed_bvc(instance)
         else:
             x, value = bd.benchmark_fixed_bwk(instance)
-        _emit({"x": x.tolist(), "value": value}, cfg.get("out"))
+        harness.dump_json(cfg.get("out"), {"x": x.tolist(), "value": value})
         print(f"bench {args.kind} value={value:g}")
         return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .seeding import derive_rng, derive_seed
 __all__ = [
     "GeneratorSpec",
     "generate",
+    "greedy_runner",
     "run_experiment",
     "atomic_write_text",
     "write_csv",
@@ -68,8 +70,13 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def dump_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+def dump_json(path: str | None, obj) -> None:
+    """Write ``obj`` as JSON to ``path``, or to stdout when ``path`` is empty."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if path:
+        atomic_write_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 # --- instance generators --------------------------------------------------------
@@ -90,7 +97,6 @@ class GeneratorSpec:
     norm: str = "linf"
     inner: list[str] | None = None
     budget: float | None = None
-    reward_means: list[float] | None = None
 
     def __post_init__(self):
         if self.family not in GENERATOR_FAMILIES:
@@ -144,9 +150,7 @@ def _vs_jobs(spec: GeneratorSpec, rng: np.random.Generator) -> list[np.ndarray]:
 def _bandit_arrays(spec: GeneratorSpec, rng: np.random.Generator):
     n, d, T = spec.n, spec.d, spec.T
     if spec.family == "stochastic-bandit":
-        means = spec.reward_means or [0.5 + 0.4 * (a % 2) for a in range(n)]
-        if len(means) != n:
-            raise ValueError("need one reward mean per arm")
+        means = [0.5 + 0.4 * (a % 2) for a in range(n)]
         cost_rates = rng.uniform(0.0, 1.0, (d, n))
         rewards = (rng.random((T, n)) < np.asarray(means)[None, :]).astype(float)
         costs = (rng.random((T, d, n)) < cost_rates[None, :, :]).astype(float)
@@ -207,8 +211,16 @@ def generate(spec: GeneratorSpec, path: str) -> None:
 # --- experiment orchestration ----------------------------------------------------
 
 
-def _approx_builder(approx_text: str, samples: int, instance=None):
-    spec = parse_approx_spec(approx_text)
+def _get(config: dict, key: str, default=None):
+    """``config[key]``, with a missing key and an explicit None both giving ``default``."""
+    value = config.get(key)
+    return default if value is None else value
+
+
+def _approx_builder(config: dict, instance, default: str):
+    """``builder(dim, epsilon, seed)`` for the config's surrogate, ``default`` when unset."""
+    spec = parse_approx_spec(_get(config, "approx", default))
+    samples = int(_get(config, "samples", 2000))
     if isinstance(instance, lb.LbInstance) and instance.is_vector_scheduling:
         inner, machines = instance.inner, instance.m
     else:
@@ -234,111 +246,82 @@ def _parse_opt_mode(text: str) -> tuple[str, float]:
     return mode, v
 
 
-def _lb_single(instance, approx_text, opt_text, samples, theta, seed):
-    builder = _approx_builder(approx_text, samples, instance)
-    trace = lb.run_greedy(instance, builder, _parse_opt_mode(opt_text), seed=seed, theta=theta)
-    return trace
+def greedy_runner(config: dict):
+    """``(instance, opt_mode, run)`` for an ``lb``/``vs`` config; ``run(seed)`` is one greedy trace.
+
+    The instance file is read once.  The surrogate defaults to ``nested:<r>``
+    on a vector-scheduling instance and to ``sym`` otherwise.
+    """
+    instance = lb.read_lb_instance(config["instance"])
+    if config.get("problem") == "vs" and not instance.is_vector_scheduling:
+        raise ValueError("vs run needs an instance with resource structure")
+    default = f"nested:{instance.r}" if instance.is_vector_scheduling else "sym"
+    builder = _approx_builder(config, instance, default)
+    opt_mode = _parse_opt_mode(_get(config, "opt", "auto:1.0"))
+    theta = float(_get(config, "theta", 8.0))
+
+    def run(seed: int) -> lb.LbTrace:
+        return lb.run_greedy(instance, builder, opt_mode, seed=seed, theta=theta)
+
+    return instance, opt_mode, run
 
 
 def run_experiment(config: dict) -> dict:
-    """Dispatch a config to the right module, aggregate over seeds, persist.
+    """Run a config over its seeds, summarize the ratios, persist.
 
-    Returns the summary dict; ``summary["passed"]`` is False on any check
-    violation or on a ratio above the configured regression bound.
+    Returns the summary dict; ``summary["passed"]`` is False on a ratio above
+    the configured regression bound.  With ``out`` set, the per-seed rows go
+    to that CSV and the summary next to it as ``<out>.summary.json``.
     """
-    def _cfg(key, default=None):
-        value = config.get(key)
-        return default if value is None else value
-
-    problem = _cfg("problem")
-    out = _cfg("out")
-    master = int(_cfg("seed", 0))
-    jobs = int(_cfg("jobs", 1))
+    problem = config.get("problem")
+    seeds = _expand_seeds(config)
     if problem in ("lb", "vs"):
-        instance = lb.read_lb_instance(config["instance"])
-        seeds = _expand_seeds(config, master)
-        theta = float(_cfg("theta", 8.0))
-        samples = int(_cfg("samples", 2000))
-        approx_text = _cfg("approx", "sym" if not instance.is_vector_scheduling else f"nested:{instance.r}")
-        opt_text = _cfg("opt", "auto:1.0")
-        benchmark = _cfg("benchmark")
+        instance, opt_mode, run = greedy_runner(config)
+        benchmark = _get(config, "benchmark")
         if benchmark is None:
             if instance.k**instance.T <= lb.BRUTE_FORCE_CAP:
-                benchmark = brute_force_value(instance)
+                benchmark, _ = lb.brute_force_opt(instance)
             else:
-                benchmark = _parse_opt_mode(opt_text)[1]
+                benchmark = opt_mode[1]
+        header = ["seed", "final_norm", "benchmark", "ratio"]
 
-        def one(run_seed: int):
-            trace = _lb_single(instance, approx_text, opt_text, samples, theta, run_seed)
-            return trace
-
-        traces = _parallel(one, seeds, jobs)
-        rows = [
-            [s, t.final_norm, benchmark, _ratio(t.final_norm, benchmark)]
-            for s, t in zip(seeds, traces)
-        ]
-        summary = _summarize(config, [r[3] for r in rows])
-        if out:
-            write_csv(out, ["seed", "final_norm", "benchmark", "ratio"], rows)
-            dump_json(_summary_path(out), summary)
-        return summary
-    if problem in ("bwk", "bvc"):
+        def one(seed: int) -> list:
+            final = run(seed).final_norm
+            return [seed, final, benchmark, _ratio(final, benchmark)]
+    elif problem in ("bwk", "bvc"):
         instance = bd.read_bandit_instance(config["instance"])
-        seeds = _expand_seeds(config, master)
-        samples = int(_cfg("samples", 2000))
-        approx_text = _cfg("approx", "softmax" if instance.norm.kind == "linf" else "sym")
+        builder = _approx_builder(config, instance, "softmax" if instance.norm.kind == "linf" else "sym")
         if problem == "bvc":
             _, bench = bd.benchmark_fixed_bvc(instance)
-            eps = float(_cfg("epsilon", 1.0 / max(bench, 1.0)))
+            eps = float(_get(config, "epsilon", 1.0 / max(bench, 1.0)))
         else:
             _, bench = bd.benchmark_fixed_bwk(instance)
-            opt_in = float(_cfg("opt", bench))
-        rows = []
+            opt_in = float(_get(config, "opt", bench))
+            allow_small_budget = bool(_get(config, "allow_small_budget", False))
+        header = ["seed", "total_reward", "final_norm_cost", "stopped_at", "benchmark_value", "ratio"]
 
-        def one(idx_seed):
-            idx, run_seed = idx_seed
-            psi_seed = derive_seed(run_seed, "approx")
+        def one(seed: int) -> list:
+            psi_seed = derive_seed(seed, "approx")
             if problem == "bvc":
-                psi = build_approx(approx_text, instance.d, eps, samples=samples,
-                                   seed=psi_seed, norm=instance.norm)
-                tr = bd.bvc_run(instance, psi, seed=run_seed)
-                ratio = _ratio(tr.final_norm, bench)
+                tr = bd.bvc_run(instance, builder(instance.d, eps, psi_seed), seed=seed)
+                value = tr.final_norm
             else:
-                meta_probe = build_approx(approx_text, instance.d, 1.0, samples=samples,
-                                          seed=psi_seed, norm=instance.norm)
-                ag = meta_probe.meta.alpha + meta_probe.meta.gamma
-                eps_k = float(_cfg("epsilon", ag / opt_in))
-                psi = build_approx(approx_text, instance.d, eps_k, samples=samples,
-                                   seed=psi_seed, norm=instance.norm)
-                tr = bd.bwk_run(instance, psi, opt_in, seed=run_seed,
-                                allow_small_budget=bool(_cfg("allow_small_budget", False)))
-                ratio = _ratio(tr.total_reward, bench)
-            return [run_seed, tr.total_reward, tr.final_norm, tr.stopped_at, bench, ratio]
+                probe = builder(instance.d, 1.0, psi_seed).meta
+                eps_k = float(_get(config, "epsilon", (probe.alpha + probe.gamma) / opt_in))
+                tr = bd.bwk_run(instance, builder(instance.d, eps_k, psi_seed), opt_in, seed=seed,
+                                allow_small_budget=allow_small_budget)
+                value = tr.total_reward
+            return [seed, tr.total_reward, tr.final_norm, tr.stopped_at, bench, _ratio(value, bench)]
+    else:
+        raise ValueError(f"unknown problem {problem!r}")
 
-        rows = _parallel(one, list(enumerate(seeds)), jobs)
-        ratios = [r[5] for r in rows]
-        summary = _summarize(config, ratios)
-        if out:
-            write_csv(
-                out,
-                ["seed", "total_reward", "final_norm_cost", "stopped_at", "benchmark_value", "ratio"],
-                rows,
-            )
-            dump_json(_summary_path(out), summary)
-        return summary
-    if problem == "verify":
-        report = run_verify_config(config)
-        summary = {
-            "problem": "verify",
-            "passed": report.passed,
-            "worst_margin": report.worst_margin,
-            "violations": report.violations,
-            "trials": report.trials,
-        }
-        if out:
-            dump_json(out, report.to_dict())
-        return summary
-    raise ValueError(f"unknown problem {problem!r}")
+    rows = _parallel(one, seeds, int(_get(config, "jobs", 1)))
+    summary = _summarize(config, [row[-1] for row in rows])
+    out = _get(config, "out")
+    if out:
+        write_csv(out, header, rows)
+        dump_json(_summary_path(out), summary)
+    return summary
 
 
 def _ratio(value: float, benchmark: float) -> float:
@@ -348,11 +331,6 @@ def _ratio(value: float, benchmark: float) -> float:
     if value == 0 and benchmark == 0:
         return 1.0
     raise ValueError(f"the benchmark is {benchmark!r}, not positive: run value {value!r} has no ratio")
-
-
-def brute_force_value(instance) -> float:
-    value, _ = lb.brute_force_opt(instance)
-    return value
 
 
 def run_verify_config(config: dict) -> vf.CheckReport:
@@ -400,11 +378,18 @@ def run_verify_config(config: dict) -> vf.CheckReport:
     raise ValueError(f"unknown check {check!r}")
 
 
-def _expand_seeds(config: dict, master: int) -> list[int]:
-    seeds = config.get("seeds", 1)
-    if isinstance(seeds, int):
-        return [derive_seed(master, "run", i) for i in range(seeds)]
-    return [int(s) for s in seeds]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expand_seeds(config: dict) -> list[int]:
+    """Run seeds: ``seeds`` is a count of seeds derived from ``seed``, or a list of seeds."""
+    seeds = _get(config, "seeds", 1)
+    if _is_int(seeds) and seeds >= 1:
+        return [derive_seed(int(_get(config, "seed", 0)), "run", i) for i in range(seeds)]
+    if isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds):
+        return seeds
+    raise ValueError(f"seeds must be a count >= 1 or a non-empty list of integers, got {seeds!r}")
 
 
 def _parallel(fn, items, jobs: int):
@@ -421,9 +406,9 @@ def _summarize(config: dict, ratios: list[float]) -> dict:
     return {
         "problem": config.get("problem"),
         "runs": len(ratios),
-        "mean_ratio": float(arr.mean()) if len(ratios) else math.nan,
+        "mean_ratio": float(arr.mean()),
         "std_ratio": float(arr.std(ddof=1)) if len(ratios) > 1 else 0.0,
-        "max_ratio": float(arr.max()) if len(ratios) else math.nan,
+        "max_ratio": float(arr.max()),
         "max_ratio_bound": bound,
         "passed": passed,
     }

@@ -28,14 +28,13 @@ __all__ = [
     "LbTrace",
     "greedy_step",
     "run_greedy",
-    "run_vector_scheduling",
     "brute_force_opt",
     "read_lb_instance",
-    "write_lb_instance",
     "format_lb_instance",
 ]
 
 BRUTE_FORCE_CAP = 2_000_000
+BRUTE_FORCE_BLOCK = 1 << 18  # load floats scored at once by brute_force_opt
 
 # builder(dim, epsilon, seed) -> surrogate
 ApproxBuilder = Callable[[int, float, int], GradStableApprox]
@@ -199,39 +198,46 @@ def run_greedy(
     )
 
 
-def run_vector_scheduling(
-    instance: LbInstance,
-    builder: ApproxBuilder,
-    opt_mode: tuple[str, float],
-    seed: int = 0,
-    theta: float = 8.0,
-) -> LbTrace:
-    """Greedy vector scheduling; identical to ``run_greedy`` on the flattened loads."""
-    if not instance.is_vector_scheduling:
-        raise ValueError("instance has no resource structure")
-    return run_greedy(instance, builder, opt_mode, seed=seed, theta=theta)
-
-
 def brute_force_opt(instance: LbInstance, cap: int = BRUTE_FORCE_CAP) -> tuple[float, tuple[int, ...]]:
     """Exact offline optimum by exhaustive enumeration (k^T sequences).
 
-    Ties are broken toward the lexicographically smallest assignment.
+    Ties are broken toward the lexicographically smallest assignment.  The
+    sequences are scored in blocks of at most ``BRUTE_FORCE_BLOCK`` load
+    floats: each block holds consecutive prefixes of the first T - s jobs,
+    each with all k^s suffixes of the last s jobs.  Jobs are added to the
+    loads in arrival order, so every sum is the same float whatever the block.
     """
-    total = instance.k**instance.T
+    k, T, dim = instance.k, instance.T, instance.dim
+    total = k**T
     if total > cap:
         raise ValueError(f"k^T = {total} exceeds the enumeration cap {cap}")
-    loads = np.zeros((1, instance.dim))
-    for t in range(instance.T):
-        cols = instance.columns(t).T  # (k, dim)
-        loads = (loads[:, None, :] + cols[None, :, :]).reshape(-1, instance.dim)
-    values = instance.objective_rows(loads)
-    best = int(np.argmin(values))
+    rows = max(1, BRUTE_FORCE_BLOCK // dim)
+    s = 0
+    while s < T and k ** (s + 1) <= rows:
+        s += 1
+    p = T - s
+    per_block = max(1, rows // k**s)
+    cols = [instance.columns(t).T for t in range(T)]  # (k, dim) per job
+    block_min, block_arg = [], []
+    for lo in range(0, k**p, per_block):
+        prefix = np.arange(lo, min(lo + per_block, k**p))
+        loads = np.zeros((len(prefix), dim))
+        for t in range(p):
+            loads = loads + cols[t][prefix // k ** (p - 1 - t) % k]
+        for t in range(p, T):
+            loads = (loads[:, None, :] + cols[t][None, :, :]).reshape(-1, dim)
+        values = instance.objective_rows(loads)
+        j = int(np.argmin(values))
+        block_min.append(values[j])
+        block_arg.append(lo * k**s + j)
+    # the first block minimum is the first minimum overall (NaN first, as in argmin)
+    b = int(np.argmin(block_min))
     assignment = []
-    idx = best
-    for _ in range(instance.T):
-        assignment.append(idx % instance.k)
-        idx //= instance.k
-    return float(values[best]), tuple(reversed(assignment))
+    idx = block_arg[b]
+    for _ in range(T):
+        assignment.append(idx % k)
+        idx //= k
+    return float(block_min[b]), tuple(reversed(assignment))
 
 
 # --- instance files (JSON lines) ---------------------------------------------
@@ -248,11 +254,6 @@ def format_lb_instance(instance: LbInstance) -> str:
     lines = [json.dumps(header, sort_keys=True)]
     lines += [json.dumps({"C": job.tolist()}) for job in instance.jobs]
     return "\n".join(lines) + "\n"
-
-
-def write_lb_instance(path: str, instance: LbInstance) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_lb_instance(instance))
 
 
 def read_lb_instance(path: str) -> LbInstance:

