@@ -8,20 +8,16 @@ from .compose import (
     build_symmetric_approx,
 )
 from .parse import ApproxSpec, build_approx, parse_approx_spec
-from .shifted_lp import ShiftedLpApprox, shifted_lp_approx
-from .softmax import SoftmaxApprox, softmax_approx
-from .topk import TopKApprox, TopKConfig, gs_topk_approx
+from .shifted_lp import ShiftedLpApprox
+from .softmax import SoftmaxApprox
+from .topk import TopKApprox
 
 __all__ = [
     "ApproxMeta",
     "GradStableApprox",
     "SoftmaxApprox",
-    "softmax_approx",
     "ShiftedLpApprox",
-    "shifted_lp_approx",
     "TopKApprox",
-    "TopKConfig",
-    "gs_topk_approx",
     "Leaf",
     "Outer",
     "build_symmetric_approx",

@@ -288,7 +288,7 @@ def build_nested_max_approx(
 
     def make_child(i: int, child_seed: int) -> GradStableApprox:
         if lp_exponents is not None:
-            return ShiftedLpApprox(m, lp_exponents[i], epsilon, m_cap=m)
+            return ShiftedLpApprox(m, lp_exponents[i], epsilon)
         norm_i = inner_norms[i] if inner_norms is not None else None
         return build_symmetric_approx(
             profiles[i], epsilon, samples=samples, seed=child_seed, norm=norm_i

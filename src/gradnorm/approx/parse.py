@@ -79,7 +79,7 @@ def build_approx(
     if spec.kind == "softmax":
         return SoftmaxApprox(dim, epsilon)
     if spec.kind == "slp":
-        return ShiftedLpApprox(dim, spec.p, epsilon, m_cap=dim)
+        return ShiftedLpApprox(dim, spec.p, epsilon)
     if spec.kind == "gstopk":
         return TopKApprox(dim, spec.k, epsilon, samples=samples, seed=seed)
     if spec.kind == "sym":

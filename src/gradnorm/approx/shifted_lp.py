@@ -1,6 +1,6 @@
 """Shifted l-p surrogate: value(x) = (||x||_q^q + c^q)^(1/q).
 
-The exponent is capped at q = min(p, 1 + ln(m_cap)) and the shift is
+The exponent is capped at q = min(p, 1 + ln(dim)) and the shift is
 c = (q-1)/epsilon.  The construction sandwiches the l-q norm within an
 additive (q-1)/epsilon, and the shift keeps the gradient from collapsing:
 the decay factor is at least e^(-epsilon*||y||_q) with no extra slack
@@ -16,23 +16,20 @@ import numpy as np
 from ..norms import NormSpec, lp
 from .base import ApproxMeta, GradStableApprox
 
-__all__ = ["ShiftedLpApprox", "shifted_lp_approx"]
+__all__ = ["ShiftedLpApprox"]
 
 
 class ShiftedLpApprox(GradStableApprox):
-    def __init__(self, dim: int, p: float, epsilon: float, m_cap: int | None = None):
+    def __init__(self, dim: int, p: float, epsilon: float):
         if p < 1.0:
             raise ValueError(f"p must be >= 1 (or inf), got {p}")
         if epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        cap = dim if m_cap is None else m_cap
-        if cap < 1:
-            raise ValueError(f"m_cap must be >= 1, got {m_cap}")
         self.dim = dim
         self.p = p
-        self.q = min(p, 1.0 + math.log(cap))
+        self.q = min(p, 1.0 + math.log(dim))
         self.epsilon = epsilon
         self.shift = (self.q - 1.0) / epsilon
         self.meta = ApproxMeta(epsilon=epsilon, delta=0.0, alpha=1.0, gamma=self.q - 1.0)
@@ -68,9 +65,3 @@ class ShiftedLpApprox(GradStableApprox):
             f"ShiftedLpApprox(dim={self.dim}, p={self.p:g}, q={self.q:g}, "
             f"epsilon={self.epsilon:g})"
         )
-
-
-def shifted_lp_approx(
-    dim: int, p: float, epsilon: float, m_cap: int | None = None
-) -> ShiftedLpApprox:
-    return ShiftedLpApprox(dim, p, epsilon, m_cap=m_cap)

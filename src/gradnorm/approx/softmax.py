@@ -14,7 +14,7 @@ import numpy as np
 from ..norms import NormSpec, linf
 from .base import ApproxMeta, GradStableApprox
 
-__all__ = ["SoftmaxApprox", "softmax_approx"]
+__all__ = ["SoftmaxApprox"]
 
 
 class SoftmaxApprox(GradStableApprox):
@@ -49,7 +49,3 @@ class SoftmaxApprox(GradStableApprox):
 
     def __repr__(self):
         return f"SoftmaxApprox(dim={self.dim}, epsilon={self.epsilon:g})"
-
-
-def softmax_approx(dim: int, epsilon: float) -> SoftmaxApprox:
-    return SoftmaxApprox(dim, epsilon)

@@ -29,10 +29,11 @@ sorted rows some rank needs.  A comparator is one np.minimum and one
 np.maximum over whole rows into a pool of scratch rows, and the network
 moves row indices, not data.  Each rank's threshold is then one slice of
 sorted row d - K, members are one >= over the whole array, and counts are
-one np.count_nonzero per row.  Input with a NaN or an infinity sorts each
-sample's row of a transposed copy instead: the sort orders NaN last, while
-the network would spread a NaN to every row it meets.  Against a row sort of
-the (S, d) layout, on one core of a 2-vCPU Xeon VM: the paired kernel at
+one np.count_nonzero per row.  ``gradient`` and ``pair_margin_stats`` order
+an infinity like any other value, but a NaN in x or y, or one made by adding
++inf to -inf, raises ValueError, since the network would spread it to every
+row it meets; only non-finite input pays for that test.  Against a row sort
+of the (S, d) layout, on one core of a 2-vCPU Xeon VM: the paired kernel at
 S = 100k takes 10-12 ms a call against 34-43 ms at d = 16, and about 94
 against 82-94 ms at d = 64; a gradient at S = 2000, d = 64 takes about three
 times as long (1.5 against 0.5 ms), since each of the network's row steps
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +61,7 @@ import numpy as np
 from ..norms import NormSpec, topk
 from .base import ApproxMeta, GradStableApprox
 
-__all__ = ["TopKConfig", "TopKApprox", "gs_topk_approx"]
+__all__ = ["TopKApprox"]
 
 _SCRATCH_FLOATS = 1 << 17  # float64 value-kernel scratch per thread: 1 MiB
 _value_scratch = threading.local()
@@ -75,35 +75,23 @@ def _scratch(n: int) -> np.ndarray:
     return buf
 
 
-@dataclass(frozen=True)
-class TopKConfig:
-    dim: int
-    k: int
-    epsilon: float
-    samples: int = 2000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.dim:
-            raise ValueError(f"need 1 <= k <= dim, got k={self.k} dim={self.dim}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-
-
-def _sample_ranks(rng: np.random.Generator, cfg: TopKConfig) -> np.ndarray:
+def _sample_ranks(rng: np.random.Generator, k: int, d: int, samples: int) -> np.ndarray:
     """Geometric with ratio q = 1 - 1/k censored at d, by inverse CDF.
 
     P(K >= j) = q^(j-1) for j <= d, so P(K = d) = q^(d-1): the mass beyond d
     lands on d instead of being spread over {1..d}.
     """
-    if cfg.k == 1:
-        return np.ones(cfg.samples, dtype=np.int64)
-    q = 1.0 - 1.0 / cfg.k
-    u = rng.random(cfg.samples)
+    if k == 1:
+        return np.ones(samples, dtype=np.int64)
+    q = 1.0 - 1.0 / k
+    u = rng.random(samples)
     ks = np.ceil(np.log1p(-u) / np.log(q)).astype(np.int64)
-    return np.clip(ks, 1, cfg.dim)
+    return np.clip(ks, 1, d)
+
+
+def _refuse_nan(z: np.ndarray) -> None:
+    if np.isnan(z).any():
+        raise ValueError("top-k membership needs x and y without NaN (or +inf added to -inf)")
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,17 +172,22 @@ class _MembershipPlan(NamedTuple):
 
 class TopKApprox(GradStableApprox):
     def __init__(self, dim: int, k: int, epsilon: float, samples: int = 2000, seed: int = 0):
-        cfg = TopKConfig(dim, k, epsilon, samples, seed)
-        self.cfg = cfg
+        if not 1 <= k <= dim:
+            raise ValueError(f"need 1 <= k <= dim, got k={k} dim={dim}")
+        if epsilon <= 0.0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
         self.dim = dim
         self.k = k
         self.epsilon = epsilon
+        self.samples = samples
+        self.seed = seed
         rng = np.random.default_rng(seed)
         # draw order is fixed: ranks first, then noise
-        self.ranks = _sample_ranks(rng, cfg)
-        self.noise = rng.exponential(scale=1.0 / (k * epsilon), size=(cfg.samples, dim))
+        self.ranks = _sample_ranks(rng, k, dim, samples)
+        self.noise = rng.exponential(scale=1.0 / (k * epsilon), size=(samples, dim))
         self._noise32 = None
-        self._rows = np.arange(cfg.samples)
         self._ranks_total = int(self.ranks.sum())
         self._value_chunks = self._chunk_plan()
         self._scratch = threading.local()  # per-thread kernel buffers
@@ -229,8 +222,10 @@ class TopKApprox(GradStableApprox):
     def gradient(self, x) -> np.ndarray:
         x32 = np.asarray(x, dtype=np.float32)
         z = self._perturbed(x32)
-        _, counts = self._membership(z, 0, bool(np.isfinite(x32).all()))
-        return counts / self.cfg.samples
+        if not np.isfinite(x32).all():
+            _refuse_nan(z)
+        _, counts = self._membership(z, 0)
+        return counts / self.samples
 
     def pair_margin_stats(self, x, y, w1: float, w0: float) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard error of w1 * 1[in top at x+y] - w0 * 1[in top at x].
@@ -241,13 +236,14 @@ class TopKApprox(GradStableApprox):
         """
         x32 = np.asarray(x, dtype=np.float32)
         y32 = np.asarray(y, dtype=np.float32)
-        network = bool(np.isfinite(x32).all() and np.isfinite(y32).all())
         z = self._perturbed(x32)
-        mem0, c0 = self._membership(z, 0, network)
+        mem0, c0 = self._membership(z, 0)
         np.add(z, y32[:, None], out=z)  # (x + noise) + y
-        mem1, c1 = self._membership(z, 1, network)
+        if not (np.isfinite(x32).all() and np.isfinite(y32).all()):
+            _refuse_nan(z)  # a NaN of x + noise stays NaN in (x + noise) + y
+        mem1, c1 = self._membership(z, 1)
         np.logical_and(mem0, mem1, out=mem0)
-        n = self.cfg.samples
+        n = self.samples
         m0 = c0 / n
         m1 = c1 / n
         m10 = self._counts(mem0) / n
@@ -258,6 +254,11 @@ class TopKApprox(GradStableApprox):
 
     def norm_spec(self) -> NormSpec:
         return topk(self.dim, self.k)
+
+    @property
+    def cfg(self) -> TopKApprox:
+        """The instance itself, for readers of ``cfg.dim``, ``cfg.k`` and ``cfg.samples``."""
+        return self
 
     # --- internals ----------------------------------------------------------
 
@@ -320,7 +321,7 @@ class TopKApprox(GradStableApprox):
     def _noise_f32(self) -> np.ndarray:
         """float32 (d, S) noise in rank order, built on first use from ``noise``."""
         if self._noise32 is None:
-            noise32 = np.empty((self.dim, self.cfg.samples), dtype=np.float32)
+            noise32 = np.empty((self.dim, self.samples), dtype=np.float32)
             for i, row in enumerate(noise32):  # row by row: no (d, S) float64 temporary
                 row[:] = self.noise[self._plan.order, i]
             self._noise32 = noise32  # published whole: other threads may be reading
@@ -336,38 +337,22 @@ class TopKApprox(GradStableApprox):
         """Thread-local kernel buffers; instances stay safe to share."""
         tls = self._scratch
         if getattr(tls, "z", None) is None:
-            S, d = self.cfg.samples, self.dim
+            S, d = self.samples, self.dim
             tls.z = np.empty((d, S), dtype=np.float32)
             tls.mask = [np.empty((d, S), dtype=bool), np.empty((d, S), dtype=bool)]
-            tls.sort = None
             tls.rows = [*tls.z, *np.empty((self._plan.pool_rows, S), dtype=np.float32)]
             tls.thr = np.empty(S, dtype=np.float32)
         return tls
 
-    def _membership(self, z: np.ndarray, slot: int, network: bool):
-        """(d, S) mask of the coordinates among the K_s largest of each sample,
-        and the member count of each coordinate; ``network`` is False when z
-        may hold a NaN."""
-        tls = self._scratch
-        mem = tls.mask[slot]
-        zs, ms = z.T, mem.T  # sample-major views
-        if network:
-            thr = self._network_thresholds()
-            np.greater_equal(z, thr, out=mem)
-        elif self.k == 1:
-            ms.fill(False)
-            ms[self._rows, zs.argmax(axis=1)] = True
-            return mem, self._counts(mem)
-        else:
-            if tls.sort is None:
-                tls.sort = np.empty(zs.shape, dtype=np.float32)
-            srt = tls.sort
-            np.copyto(srt, zs)
-            srt.sort(axis=1)
-            thr = srt[self._rows, self.dim - self._plan.ranks]
-            np.greater_equal(zs, thr[:, None], out=ms)
+    def _membership(self, z: np.ndarray, slot: int):
+        """(d, S) mask of the coordinates among the K_s largest of each sample
+        of this thread's z, and the member count of each coordinate."""
+        mem = self._scratch.mask[slot]
+        thr = self._network_thresholds()
+        np.greater_equal(z, thr, out=mem)
         counts = self._counts(mem)
         if counts.sum() != self._ranks_total:  # exact iff no sample ties at its threshold
+            zs, ms = z.T, mem.T  # sample-major views
             ranks = self._plan.ranks
             bad = np.nonzero(ms.sum(axis=1) != ranks)[0]
             # ties at the threshold: keep the lowest-index tied coordinates
@@ -403,11 +388,6 @@ class TopKApprox(GradStableApprox):
     def __repr__(self):
         return (
             f"TopKApprox(dim={self.dim}, k={self.k}, epsilon={self.epsilon:g}, "
-            f"samples={self.cfg.samples}, seed={self.cfg.seed})"
+            f"samples={self.samples}, seed={self.seed})"
         )
 
-
-def gs_topk_approx(
-    dim: int, k: int, epsilon: float, samples: int = 2000, seed: int = 0
-) -> TopKApprox:
-    return TopKApprox(dim, k, epsilon, samples=samples, seed=seed)

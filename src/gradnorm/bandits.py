@@ -11,7 +11,9 @@ null action is played.
 
 Offline benchmarks optimize a fixed mixture over actions: a simplex grid
 cross-checked against projected (sub/super)gradient descent, so reported
-values are certified by feasible points.
+values are certified by feasible points.  The grid is streamed one block at
+a time and each block is scored as it comes, keeping the first best point,
+so no benchmark holds the whole grid.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -122,11 +124,9 @@ class Exp3State:
     t: int = 0
 
     @classmethod
-    def fresh(cls, n: int, horizon: int, eta: float | None = None, phi: float | None = None):
-        if eta is None:
-            eta = math.sqrt(math.log(max(n, 2)) / (horizon * n))
-        if phi is None:
-            phi = min(1.0, math.sqrt(n * math.log(max(n, 2)) / horizon))
+    def fresh(cls, n: int, horizon: int):
+        eta = math.sqrt(math.log(max(n, 2)) / (horizon * n))
+        phi = min(1.0, math.sqrt(n * math.log(max(n, 2)) / horizon))
         return cls(weights=np.ones(n), eta=eta, phi=phi)
 
     def distribution(self) -> np.ndarray:
@@ -306,10 +306,10 @@ def bwk_run(
 # --- offline fixed-mixture benchmarks -----------------------------------------
 
 
-def project_simplex(y: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = total} (sort-based)."""
+def project_simplex(y: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
     u = np.sort(y)[::-1]
-    cum = (np.cumsum(u) - total) / np.arange(1, len(y) + 1)
+    cum = (np.cumsum(u) - 1.0) / np.arange(1, len(y) + 1)
     rho = np.nonzero(u > cum)[0][-1]
     return np.maximum(y - cum[rho], 0.0)
 
@@ -317,27 +317,28 @@ def project_simplex(y: np.ndarray, total: float = 1.0) -> np.ndarray:
 def _project_capped_simplex(y: np.ndarray) -> np.ndarray:
     """Projection onto {x >= 0, sum x <= 1}."""
     x = np.maximum(y, 0.0)
-    return x if x.sum() <= 1.0 else project_simplex(y, 1.0)
+    return x if x.sum() <= 1.0 else project_simplex(y)
 
 
-def _grid_points(n: int, resolution: int) -> np.ndarray:
-    """Integer-composition grid on the unit simplex, exact and duplicate-free.
+def _grid_points(n: int, resolution: int) -> Iterator[np.ndarray]:
+    """Integer-composition grid on the unit simplex, exact and duplicate-free,
+    yielded as one block of rows per value of the first part.
 
     Rows are the compositions of ``resolution`` into n nonnegative parts in
     lexicographic order, divided by ``resolution``.  After a head value h,
     the other n - 1 parts are the gaps between 0, n - 2 nondecreasing cut
     points in [0, rest] (rest = resolution - h) and rest.
     ``combinations_with_replacement`` yields the cut points in lexicographic
-    order, and lexicographic cut points give lexicographic gaps.
+    order, and lexicographic cut points give lexicographic gaps.  A block has
+    at most comb(resolution + n - 2, n - 2) rows.
     """
     if n == 1:
-        return np.ones((1, 1))
-    out = np.empty((math.comb(resolution + n - 1, n - 1), n))
-    row = 0
+        yield np.ones((1, 1))
+        return
     for head in range(resolution + 1):
         rest = resolution - head
         rows = math.comb(rest + n - 2, n - 2)
-        block = out[row : row + rows]
+        block = np.empty((rows, n))
         block[:, 0] = head
         if n == 2:
             block[:, 1] = rest
@@ -350,27 +351,23 @@ def _grid_points(n: int, resolution: int) -> np.ndarray:
             block[:, 1] = cuts[:, 0]
             np.subtract(cuts[:, 1:], cuts[:, :-1], out=block[:, 2:-1])
             np.subtract(rest, cuts[:, -1], out=block[:, -1])
-        row += rows
-    out /= resolution
-    return out
+        block /= resolution
+        yield block
 
 
 def _subgradient_minimize(
     f: Callable[[np.ndarray], float],
     n: int,
-    iters: int = 500,
-    seed: int = 0,
     project: Callable[[np.ndarray], np.ndarray] = project_simplex,
     sign: float = 1.0,
 ) -> np.ndarray:
-    """Projected subgradient descent (ascent for sign=-1) with c/sqrt(t) steps."""
-    rng = derive_rng(seed, "pgd")
+    """Projected subgradient descent (ascent for sign=-1) with c/sqrt(t) steps, 500 of them."""
     x = project(np.full(n, 1.0 / n))
     best_x, best_v = x.copy(), f(x)
     verts = [f(project(np.eye(n)[j])) for j in range(n)]
     step0 = max(max(abs(v) for v in verts), 1.0)
     h = 1e-6
-    for it in range(1, iters + 1):
+    for it in range(1, 501):
         g = np.zeros(n)
         fx = f(x)
         for j in range(n):
@@ -389,27 +386,12 @@ def _subgradient_minimize(
     return best_x
 
 
-_GRID_CHUNK_ROWS = 1 << 16  # simplex-grid points scored per batch
-
-
-def _grid_argmin(spec: NormSpec, grid: np.ndarray, M: np.ndarray) -> int:
-    """``np.argmin`` of ``||M x||`` over the grid rows x.
-
-    The rows are scored in chunks, so the temporaries of ``grid @ M.T`` and
-    ``eval_norm_rows`` stay a few MB; only the values of all rows are kept.
-    """
-    vals = np.empty(grid.shape[0])
-    for lo in range(0, grid.shape[0], _GRID_CHUNK_ROWS):
-        hi = lo + _GRID_CHUNK_ROWS
-        vals[lo:hi] = eval_norm_rows(spec, grid[lo:hi] @ M.T)
-    return int(np.argmin(vals))
-
-
 def benchmark_fixed_bvc(instance: BanditInstance) -> tuple[np.ndarray, float]:
     """Best fixed action mixture for vector costs: min ||sum_t C_t x|| on the simplex.
 
     Grid search at resolution 1/200 for n <= 4, projected subgradient descent
-    otherwise; when both run, the better point wins.  The returned value is
+    otherwise; when both run, the better point wins.  The grid is scored one
+    block at a time and its first minimum is kept.  The returned value is
     exact for the returned mixture.
     """
     M = instance.total_costs
@@ -420,8 +402,13 @@ def benchmark_fixed_bvc(instance: BanditInstance) -> tuple[np.ndarray, float]:
 
     candidates = [np.eye(instance.n)[0]]
     if instance.n <= 4:
-        grid = _grid_points(instance.n, 200)
-        candidates.append(grid[_grid_argmin(spec, grid, M)])
+        best_v, best_x = math.inf, None
+        for block in _grid_points(instance.n, 200):
+            vals = eval_norm_rows(spec, block @ M.T)
+            j = int(np.argmin(vals))
+            if vals[j] < best_v:
+                best_v, best_x = vals[j], block[j]
+        candidates.append(best_x)
     if instance.n > 1:
         candidates.append(_subgradient_minimize(f, instance.n))
     best = min(candidates, key=f)
@@ -432,7 +419,8 @@ def benchmark_fixed_bwk(instance: BanditInstance) -> tuple[np.ndarray, float]:
     """Best fixed mixture for knapsacks: max sum_t <r_t, x> s.t. ||sum_t C_t x|| <= B.
 
     Solved by bisection on a Lagrangian penalty around projected supergradient
-    ascent, cross-checked by a grid for small n.  Infeasible iterates are
+    ascent, cross-checked for small n by a grid scored one block at a time,
+    keeping its first feasible maximum.  Infeasible iterates are
     scaled back onto the budget surface (the constraint is homogeneous in x),
     so every candidate is feasible and the reported value is a certified
     lower bound on the optimum.
@@ -457,12 +445,15 @@ def benchmark_fixed_bwk(instance: BanditInstance) -> tuple[np.ndarray, float]:
     candidates = [np.zeros(n)]
     if n <= 4:
         resolution = 200 if n <= 3 else 100
-        grid = _grid_points(n + 1, resolution)[:, :n]  # slack coordinate allows sum < 1
-        vals = eval_norm_rows(spec, grid @ M.T)
-        ok = vals <= B + 1e-12
-        if ok.any():
-            rewards = grid[ok] @ R
-            candidates.append(grid[ok][int(np.argmax(rewards))])
+        best_r, best_x = -math.inf, None
+        for block in _grid_points(n + 1, resolution):  # a slack coordinate allows sum < 1
+            feasible_rows = block[eval_norm_rows(spec, block[:, :n] @ M.T) <= B + 1e-12, :n]
+            if len(feasible_rows):
+                rewards = feasible_rows @ R
+                j = int(np.argmax(rewards))
+                if rewards[j] > best_r:
+                    best_r, best_x = rewards[j], feasible_rows[j]
+        candidates.append(best_x)  # x = 0, the slack vertex, is always feasible
     lo, hi = 0.0, max(float(R.max()), 1.0)
     for _ in range(12):  # make sure the penalty cap actually binds the constraint
         x_hi = _subgradient_minimize(

@@ -297,6 +297,9 @@ def run_experiment(config: dict) -> dict:
         else:
             _, bench = bd.benchmark_fixed_bwk(instance)
             opt_in = float(_get(config, "opt", bench))
+            if not (opt_in > 0 and math.isfinite(opt_in)):
+                raise ValueError(f"bwk opt (the benchmark when --opt is unset) must be positive "
+                                 f"and finite, got {opt_in!r}")
             allow_small_budget = bool(_get(config, "allow_small_budget", False))
         header = ["seed", "total_reward", "final_norm_cost", "stopped_at", "benchmark_value", "ratio"]
 
@@ -306,10 +309,12 @@ def run_experiment(config: dict) -> dict:
                 tr = bd.bvc_run(instance, builder(instance.d, eps, psi_seed), seed=seed)
                 value = tr.final_norm
             else:
-                probe = builder(instance.d, 1.0, psi_seed).meta
-                eps_k = float(_get(config, "epsilon", (probe.alpha + probe.gamma) / opt_in))
-                tr = bd.bwk_run(instance, builder(instance.d, eps_k, psi_seed), opt_in, seed=seed,
-                                allow_small_budget=allow_small_budget)
+                eps_k = _get(config, "epsilon")
+                if eps_k is None:
+                    probe = builder(instance.d, 1.0, psi_seed).meta
+                    eps_k = (probe.alpha + probe.gamma) / opt_in
+                psi = builder(instance.d, float(eps_k), psi_seed)
+                tr = bd.bwk_run(instance, psi, opt_in, seed=seed, allow_small_budget=allow_small_budget)
                 value = tr.total_reward
             return [seed, tr.total_reward, tr.final_norm, tr.stopped_at, bench, _ratio(value, bench)]
     else:
@@ -334,7 +339,7 @@ def _ratio(value: float, benchmark: float) -> float:
 
 
 def run_verify_config(config: dict) -> vf.CheckReport:
-    dim = int(config.get("dim", 8))
+    dim = int(config.get("dim", 16))
     epsilon = float(config.get("epsilon", 1.0))
     samples = int(config.get("samples", 100_000))
     seed = int(config.get("seed", 0))

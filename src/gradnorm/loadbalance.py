@@ -14,13 +14,14 @@ a max-of-inner-norms objective and a nested surrogate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .approx.base import GradStableApprox
-from .norms import NormSpec, eval_norm, eval_norm_rows, format_norm_spec, normalize_spec, parse_norm_spec
+from .norms import NormSpec, eval_norm_rows, format_norm_spec, normalize_spec, parse_norm_spec
 from .seeding import derive_seed
 
 __all__ = [
@@ -87,10 +88,7 @@ class LbInstance:
 
     def objective(self, loads: np.ndarray) -> float:
         """True objective: the norm, or max of inner norms over resource blocks."""
-        if not self.is_vector_scheduling:
-            return eval_norm(self.norm, loads)
-        parts = loads.reshape(self.r, self.m)
-        return max(eval_norm(spec, parts[i]) for i, spec in enumerate(self.inner))
+        return float(self.objective_rows(loads[None, :])[0])
 
     def objective_rows(self, loads: np.ndarray) -> np.ndarray:
         if not self.is_vector_scheduling:
@@ -155,6 +153,8 @@ def run_greedy(
         raise ValueError(f"opt_mode must be 'given' or 'auto', got {mode!r}")
     if value <= 0.0:
         raise ValueError("optimum guess must be positive")
+    if not (theta > 0.0 and math.isfinite(theta)):
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
     dim = instance.dim
     guess = float(value)
     phase = 0

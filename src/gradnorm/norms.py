@@ -29,7 +29,6 @@ __all__ = [
     "oracle_sym",
     "eval_norm",
     "eval_norm_rows",
-    "top_k_norm",
     "ones_profile",
     "normalize_spec",
     "parse_norm_spec",
@@ -225,17 +224,6 @@ def _eval_rows(spec: NormSpec, m: np.ndarray) -> np.ndarray:
         if (raw < 0).any():
             raise OracleError("oracle returned a negative value")
     return raw / spec.scale
-
-
-def top_k_norm(x, k: int) -> float:
-    """Sum of the ``k`` largest entries of ``|x|``; top_1 = max, top_d = l1."""
-    v = np.abs(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise NormSpecError("top_k_norm expects a vector")
-    d = v.shape[0]
-    if not 1 <= k <= d:
-        raise NormSpecError(f"k must be in [1, {d}], got {k}")
-    return float(np.partition(v, d - k)[d - k :].sum())
 
 
 @dataclass(frozen=True)

@@ -283,8 +283,6 @@ def check_smooth_game(
     trials: int = 100,
     norm: NormSpec | None = None,
     abs_tol: float = 1e-9,
-    lam_grid: Sequence[float] | None = None,
-    mu_grid: Sequence[float] | None = None,
     seed: int = 0,
 ) -> CheckReport:
     """Total one-step gains of one increasing sequence against another.
@@ -298,8 +296,8 @@ def check_smooth_game(
     norm_of = (lambda v: eval_norm(spec, v)) if spec is not None else (lambda v: float(np.max(v)))
     dim = approx.dim
     T = params.horizon
-    lams = np.asarray(lam_grid if lam_grid is not None else np.round(np.arange(1.0, 4.0001, 0.05), 4))
-    mus = np.asarray(mu_grid if mu_grid is not None else np.round(np.arange(0.0, 0.951, 0.05), 4))
+    lams = np.round(np.arange(1.0, 4.0001, 0.05), 4)
+    mus = np.round(np.arange(0.0, 0.951, 0.05), 4)
 
     psi0 = approx.value(np.zeros(dim))
     rows = []

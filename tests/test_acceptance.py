@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from gradnorm.approx import (
+    ShiftedLpApprox,
+    SoftmaxApprox,
+    TopKApprox,
     build_approx,
     build_symmetric_approx,
-    gs_topk_approx,
-    shifted_lp_approx,
-    softmax_approx,
 )
 from gradnorm.bandits import (
     BanditInstance,
@@ -127,7 +127,7 @@ def test_criterion_02_shifted_lp_sandwich():
     eps = 0.5
     worst = math.inf
     for p in (1.5, 2.0, 4.0, math.inf):
-        sl = shifted_lp_approx(8, p, eps, m_cap=8)
+        sl = ShiftedLpApprox(8, p, eps)
         rng = derive_rng(MASTER, "c2", str(p))
         for _ in range(1000):
             x = rng.exponential(1.0, 8) * rng.choice([0.1, 1.0, 10.0])
@@ -153,7 +153,7 @@ def test_criterion_03_topk_stability():
     for k in (1, 4, 16):
         for d in (16, 64):
             for eps in (0.1, 1.0):
-                tk = gs_topk_approx(d, k, eps, samples=100_000,
+                tk = TopKApprox(d, k, eps, samples=100_000,
                                     seed=derive_seed(MASTER, "c3", k, d, str(eps)))
                 rep = check_gradient_stability(
                     tk,
@@ -238,8 +238,8 @@ def test_criterion_04_composition_sandwich():
 def measure_frontiers() -> dict:
     out = {}
     surrogates = {
-        "softmax": softmax_approx(16, 1.0),
-        "gstopk": gs_topk_approx(16, 4, 1.0, samples=2000,
+        "softmax": SoftmaxApprox(16, 1.0),
+        "gstopk": TopKApprox(16, 4, 1.0, samples=2000,
                                  seed=derive_seed(MASTER, "c5build")),
     }
     norms = {"softmax": normalize_spec(linf(16)), "gstopk": normalize_spec(topk(16, 4))}
@@ -460,20 +460,20 @@ def _bandit_runs():
         return _BANDIT_CACHE
     bvc_inst = _bvc_instance()
     _, bvc_bench = benchmark_fixed_bvc(bvc_inst)
-    psi = softmax_approx(2, 1.0 / bvc_bench)
+    psi = SoftmaxApprox(2, 1.0 / bvc_bench)
     bvc_traces = [bvc_run(bvc_inst, psi, seed=derive_seed(MASTER, "c10bvc", s))
                   for s in range(20)]
 
     bwk_inst = _bwk_instance()
     _, opt_bwk = benchmark_fixed_bwk(bwk_inst)
-    psi_k = softmax_approx(2, (1.0 + math.log(2)) / opt_bwk)
+    psi_k = SoftmaxApprox(2, (1.0 + math.log(2)) / opt_bwk)
     bwk_traces = [
         bwk_run(bwk_inst, psi_k, opt_bwk, seed=derive_seed(MASTER, "c10bwk", s))
         for s in range(20)
     ]
     # budget stress: tiny budget relative to the analyzed regime
     stress_inst = _bwk_instance(T=2000)
-    stress_psi = softmax_approx(2, 0.01)
+    stress_psi = SoftmaxApprox(2, 0.01)
     import warnings
 
     stress = []

@@ -5,31 +5,31 @@ import math
 import numpy as np
 import pytest
 
-from gradnorm.approx import shifted_lp_approx, softmax_approx
+from gradnorm.approx import ShiftedLpApprox, SoftmaxApprox
 from gradnorm.verify import finite_diff_grad
 
 
 class TestSoftmax:
     def test_value_at_zero(self):
         for d, eps in ((4, 1.0), (16, 0.5), (64, 2.0)):
-            sm = softmax_approx(d, eps)
+            sm = SoftmaxApprox(d, eps)
             assert sm.value(np.zeros(d)) == pytest.approx(math.log(d) / eps)
 
     def test_shift_equivariance(self):
-        sm = softmax_approx(8, 0.7)
+        sm = SoftmaxApprox(8, 0.7)
         rng = np.random.default_rng(0)
         z = rng.exponential(1.0, 8)
         for c in (0.5, 3.0, 17.0):
             assert sm.value(z + c) == pytest.approx(sm.value(z) + c, rel=1e-12)
 
     def test_two_point_closed_form(self):
-        sm = softmax_approx(2, 1.0)
+        sm = SoftmaxApprox(2, 1.0)
         x = np.array([0.0, math.log(3.0)])
         assert sm.value(x) == pytest.approx(math.log(4.0))
         np.testing.assert_allclose(sm.gradient(x), [0.25, 0.75], rtol=1e-12)
 
     def test_gradient_is_probability_vector(self):
-        sm = softmax_approx(10, 2.0)
+        sm = SoftmaxApprox(10, 2.0)
         rng = np.random.default_rng(1)
         for _ in range(100):
             g = sm.gradient(rng.exponential(1.0, 10) * rng.choice([0.1, 1, 100]))
@@ -37,14 +37,14 @@ class TestSoftmax:
             assert g.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_overflow_safe(self):
-        sm = softmax_approx(3, 1.0)
+        sm = SoftmaxApprox(3, 1.0)
         x = np.array([1e6, 0.0, 5.0])
         assert sm.value(x) == pytest.approx(1e6)
         np.testing.assert_allclose(sm.gradient(x), [1.0, 0.0, 0.0], atol=1e-300)
 
     def test_stability_ratio_closed_form(self):
         """grad(x+y)_i / grad(x)_i >= exp(-eps * ||y||_inf), tight family."""
-        sm = softmax_approx(12, 1.3)
+        sm = SoftmaxApprox(12, 1.3)
         rng = np.random.default_rng(2)
         for _ in range(500):
             x = rng.exponential(1.0, 12)
@@ -55,7 +55,7 @@ class TestSoftmax:
 
     def test_gradient_bit_exact(self):
         """The softmax weights are exactly e / e.sum() with e = exp(z - max z)."""
-        sm = softmax_approx(9, 0.8)
+        sm = SoftmaxApprox(9, 0.8)
         rng = np.random.default_rng(3)
         for scale in (0.01, 1.0, 50.0):
             x = rng.exponential(scale, 9)
@@ -64,7 +64,7 @@ class TestSoftmax:
             assert (sm.gradient(x) == e / e.sum()).all()
 
     def test_meta(self):
-        sm = softmax_approx(16, 0.25)
+        sm = SoftmaxApprox(16, 0.25)
         assert sm.meta.delta == 0.0
         assert sm.meta.alpha == 1.0
         assert sm.meta.gamma == pytest.approx(math.log(16))
@@ -73,7 +73,7 @@ class TestSoftmax:
 
 class TestShiftedLp:
     def test_p1_is_linear(self):
-        sl = shifted_lp_approx(5, 1.0, 0.3)
+        sl = ShiftedLpApprox(5, 1.0, 0.3)
         rng = np.random.default_rng(3)
         x = rng.exponential(1.0, 5)
         assert sl.value(x) == pytest.approx(x.sum())
@@ -81,16 +81,16 @@ class TestShiftedLp:
         assert sl.meta.gamma == 0.0
 
     def test_zero_input_gives_shift(self):
-        sl = shifted_lp_approx(4, 2.0, 1.0)
+        sl = ShiftedLpApprox(4, 2.0, 1.0)
         assert sl.value(np.zeros(4)) == pytest.approx(1.0)  # shift c = (q-1)/eps
 
     def test_exponent_cap(self):
-        sl = shifted_lp_approx(8, math.inf, 1.0, m_cap=8)
+        sl = ShiftedLpApprox(8, math.inf, 1.0)
         assert sl.q == pytest.approx(1.0 + math.log(8))
         assert sl.meta.gamma == pytest.approx(math.log(8))
 
     def test_gradient_matches_finite_differences(self):
-        sl = shifted_lp_approx(8, 2.0, 0.1)
+        sl = ShiftedLpApprox(8, 2.0, 0.1)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.exponential(1.0, 8)
@@ -99,7 +99,7 @@ class TestShiftedLp:
 
     def test_gradient_bit_exact(self):
         """The gradient is exactly (x / value(x)) ** (q - 1)."""
-        lp = shifted_lp_approx(7, 2.5, 0.4)
+        lp = ShiftedLpApprox(7, 2.5, 0.4)
         rng = np.random.default_rng(4)
         for scale in (0.01, 1.0, 50.0):
             x = rng.exponential(scale, 7)
@@ -109,7 +109,7 @@ class TestShiftedLp:
         """||x||_q <= value(x) <= ||x||_q + (q-1)/eps on random probes."""
         rng = np.random.default_rng(5)
         for p in (1.5, 2.0, 4.0, math.inf):
-            sl = shifted_lp_approx(6, p, 0.5, m_cap=6)
+            sl = ShiftedLpApprox(6, p, 0.5)
             c = sl.shift
             for _ in range(1000):
                 x = rng.exponential(1.0, 6) * rng.choice([0.1, 1.0, 10.0])
@@ -119,7 +119,7 @@ class TestShiftedLp:
 
     def test_stability_zero_slack(self):
         """The shift makes the gradient decay at most exp(-eps*||y||_q)."""
-        sl = shifted_lp_approx(6, 3.0, 1.0)
+        sl = ShiftedLpApprox(6, 3.0, 1.0)
         rng = np.random.default_rng(6)
         for _ in range(300):
             x = rng.exponential(1.0, 6)
@@ -130,10 +130,10 @@ class TestShiftedLp:
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            shifted_lp_approx(4, 0.5, 1.0)
+            ShiftedLpApprox(4, 0.5, 1.0)
 
     def test_big_values_no_overflow(self):
-        sl = shifted_lp_approx(4, 4.0, 1.0)
+        sl = ShiftedLpApprox(4, 4.0, 1.0)
         x = np.array([1e150, 1e149, 0.0, 1.0])
         assert np.isfinite(sl.value(x))
         assert np.isfinite(sl.gradient(x)).all()

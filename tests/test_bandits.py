@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gradnorm.bandits as bd
 from gradnorm.approx import GradStableApprox, build_approx
 from gradnorm.bandits import (
     BanditInstance,
@@ -21,6 +22,7 @@ from gradnorm.bandits import (
     project_simplex,
     read_bandit_instance,
     _grid_points,
+    _project_capped_simplex,
     _subgradient_minimize,
 )
 from gradnorm.harness import atomic_write_text
@@ -387,18 +389,37 @@ def recursive_grid_points(n, resolution):
     return rec(n, resolution) / resolution
 
 
+def whole_grid(n, resolution):
+    """Every block of the streamed grid, stacked into one array."""
+    grid = np.empty((math.comb(resolution + n - 1, n - 1), n))
+    row = 0
+    for block in _grid_points(n, resolution):
+        grid[row : row + len(block)] = block
+        row += len(block)
+    assert row == len(grid)
+    return grid
+
+
 class TestGridPoints:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("resolution", [1, 2, 3, 7, 24])
     def test_equals_recursive_grid(self, n, resolution):
         expected = recursive_grid_points(n, resolution)
-        grid = _grid_points(n, resolution)
+        grid = whole_grid(n, resolution)
         assert grid.shape == expected.shape and grid.dtype == expected.dtype
         assert (grid == expected).all()
 
     def test_equals_recursive_grid_at_benchmark_size(self):
-        assert (_grid_points(3, 200) == recursive_grid_points(3, 200)).all()
-        assert (_grid_points(4, 100) == recursive_grid_points(4, 100)).all()
+        assert (whole_grid(3, 200) == recursive_grid_points(3, 200)).all()
+        assert (whole_grid(4, 100) == recursive_grid_points(4, 100)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_one_block_per_head(self, n):
+        blocks = list(_grid_points(n, 24))
+        assert len(blocks) == 25
+        for head, block in enumerate(blocks):
+            assert (block[:, 0] == head / 24).all()
+            assert len(block) == math.comb(24 - head + n - 2, n - 2)
 
 
 def full_batch_benchmark_fixed_bvc(instance):
@@ -407,18 +428,71 @@ def full_batch_benchmark_fixed_bvc(instance):
     f = lambda x: eval_norm(instance.norm, M @ x)
     candidates = [np.eye(instance.n)[0]]
     if instance.n <= 4:
-        grid = _grid_points(instance.n, 200)
+        grid = whole_grid(instance.n, 200)
         candidates.append(grid[int(np.argmin(eval_norm_rows(instance.norm, grid @ M.T)))])
     if instance.n > 1:
-        candidates.append(_subgradient_minimize(f, instance.n))
+        candidates.append(bd._subgradient_minimize(f, instance.n))
     best = min(candidates, key=f)
     return best, f(best)
 
 
-class TestChunkedGrid:
-    """The grid is scored in row chunks; the point and value stay those of one batch."""
+def full_batch_benchmark_fixed_bwk(instance):
+    """benchmark_fixed_bwk with the whole grid scored in one batch."""
+    M, R, B = instance.total_costs, instance.total_rewards, instance.budget
+    spec, n = instance.norm, instance.n
+    cost = lambda x: eval_norm(spec, M @ x)
+    feasible = lambda x: x if cost(x) <= B else x * (B / cost(x) if cost(x) > 0 else 0.0)
+    candidates = [np.zeros(n)]
+    if n <= 4:
+        grid = whole_grid(n + 1, 200 if n <= 3 else 100)[:, :n]
+        ok = eval_norm_rows(spec, grid @ M.T) <= B + 1e-12
+        if ok.any():
+            candidates.append(grid[ok][int(np.argmax(grid[ok] @ R))])
+    lo, hi = 0.0, max(float(R.max()), 1.0)
+    for _ in range(12):
+        x_hi = bd._subgradient_minimize(
+            lambda x: float(R @ x) - hi * cost(x), n, project=_project_capped_simplex, sign=-1.0
+        )
+        if cost(x_hi) <= B + 1e-9:
+            break
+        hi *= 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        x_mid = bd._subgradient_minimize(
+            lambda x: float(R @ x) - mid * cost(x), n, project=_project_capped_simplex, sign=-1.0
+        )
+        candidates.append(feasible(x_mid))
+        if cost(x_mid) > B:
+            lo = mid
+        else:
+            hi = mid
+    best = max(candidates, key=lambda x: float(R @ x))
+    return best, float(R @ best)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+
+def bwk_instance(costs, rewards, budget, norm=None):
+    T, d, n = costs.shape
+    return BanditInstance(n=n, d=d, T=T, costs=costs, norm=norm or normalize_spec(linf(d)),
+                          rewards=rewards, budget=budget)
+
+
+def blocks_attaining(values_per_block, best):
+    return sum(1 for v in values_per_block if (v == best).any())
+
+
+@pytest.fixture
+def descent_never_wins(monkeypatch):
+    """Descent that returns e_0 (bvc) or 0 (bwk): points that the grid beats or
+    ties, so the returned mixture is the grid's choice."""
+    monkeypatch.setattr(bd, "_subgradient_minimize",
+                        lambda f, n, **kw: np.zeros(n) if "project" in kw else np.eye(n)[0])
+
+
+class TestChunkedGrid:
+    """The grid is streamed and scored one block at a time; the point and
+    value stay those of one batch over the whole grid, ties included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("norm", ["linf", "topk", "lp"])
     def test_equals_full_batch(self, n, norm):
         d = 8
@@ -429,6 +503,85 @@ class TestChunkedGrid:
             x, value = benchmark_fixed_bvc(inst)
             want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
             assert (x == want_x).all() and value == want_value
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bvc_grid_point_equals_full_batch(self, n, descent_never_wins):
+        rng = np.random.default_rng(100 + n)
+        for norm in (linf(4), lp(4, 3.0)):
+            costs = rng.uniform(0, 0.5, (20, 4, n))
+            costs[:, :, 0] = 1.0  # e_0 costs most: the grid point is returned
+            inst = bvc_instance(costs, normalize_spec(norm))
+            x, value = benchmark_fixed_bvc(inst)
+            want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
+            assert (x == want_x).all() and value == want_value
+            assert n == 1 or value < eval_norm(inst.norm, inst.total_costs[:, 0])
+
+    def test_bvc_tie_across_blocks_keeps_the_first(self, descent_never_wins):
+        """||(x0 + x1, x2)||_inf is least at x2 = 1/2, in the blocks of every
+        head x0 <= 1/2: the first such row, (0, 1/2, 1/2), is returned."""
+        costs = np.array([[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+        inst = bvc_instance(costs)
+        x, value = benchmark_fixed_bvc(inst)
+        assert (x == [0.0, 0.5, 0.5]).all() and value == 0.5
+        want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
+        assert (x == want_x).all() and value == want_value
+        M = inst.total_costs
+        per_block = [eval_norm_rows(inst.norm, b @ M.T) for b in _grid_points(3, 200)]
+        assert blocks_attaining(per_block, value) > 1
+
+    def test_bvc_tie_within_a_block_keeps_the_first(self, descent_never_wins):
+        """||x0||: every row of the head-0 block is a minimum; its first row,
+        (0, 0, 1), is returned."""
+        inst = bvc_instance(np.array([[[1.0, 0.0, 0.0]]]))
+        x, value = benchmark_fixed_bvc(inst)
+        assert (x == [0.0, 0.0, 1.0]).all() and value == 0.0
+        want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
+        assert (x == want_x).all() and value == want_value
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bwk_equals_full_batch(self, n, descent_never_wins):
+        rng = np.random.default_rng(110 + n)
+        d = 1 if n == 4 else 3  # keeps the one-batch copy of the n = 4 grid small
+        for norm in (linf(d), lp(d, 2.0)):
+            costs = rng.uniform(0, 1, (20, d, n))
+            inst = bwk_instance(costs, rng.uniform(0, 1, (20, n)), 5.0, normalize_spec(norm))
+            x, value = benchmark_fixed_bwk(inst)
+            want_x, want_value = full_batch_benchmark_fixed_bwk(inst)
+            assert (x == want_x).all() and value == want_value
+            assert value > 0.0  # the grid point, not the zero mixture
+
+    def test_bwk_tie_across_blocks_keeps_the_first(self, descent_never_wins):
+        """Reward x0 + x1 under the budget x0 + x1 <= 1/2: every head block up
+        to 1/2 holds a best row; the first of them is returned."""
+        costs = np.ones((2, 1, 2))
+        inst = bwk_instance(costs, np.full((2, 2), 0.5), 1.0)
+        x, value = benchmark_fixed_bwk(inst)
+        want_x, want_value = full_batch_benchmark_fixed_bwk(inst)
+        assert (x == want_x).all() and value == want_value
+        assert value == pytest.approx(0.5)
+        M, R = inst.total_costs, inst.total_rewards
+        per_block = [np.where(eval_norm_rows(inst.norm, b[:, :2] @ M.T) <= 1.0 + 1e-12,
+                              b[:, :2] @ R, -np.inf) for b in _grid_points(3, 200)]
+        assert blocks_attaining(per_block, value) > 1
+
+    def test_bwk_tie_within_a_block_keeps_the_first(self, descent_never_wins):
+        """Reward x0 under the budget x0 <= 1/2: every row of the head-1/2
+        block is a best row; its first, x = (1/2, 0), is returned."""
+        inst = bwk_instance(np.array([[[1.0, 0.0]]]), np.array([[1.0, 0.0]]), 0.5)
+        x, value = benchmark_fixed_bwk(inst)
+        assert (x == [0.5, 0.0]).all() and value == 0.5
+        want_x, want_value = full_batch_benchmark_fixed_bwk(inst)
+        assert (x == want_x).all() and value == want_value
+
+    def test_bwk_only_the_zero_mixture_is_feasible(self, descent_never_wins):
+        """With B = 0 and every arm costly, the grid's only feasible point is
+        its slack vertex x = 0 (a grid always has it)."""
+        rng = np.random.default_rng(120)
+        inst = bwk_instance(rng.uniform(0.1, 1, (10, 2, 3)), rng.uniform(0, 1, (10, 3)), 0.0)
+        x, value = benchmark_fixed_bwk(inst)
+        want_x, want_value = full_batch_benchmark_fixed_bwk(inst)
+        assert (x == want_x).all() and value == want_value
+        assert (x == 0.0).all() and value == 0.0
 
     def test_peak_memory_bounded(self):
         """n = 4 scores 1.37M grid points; one batch peaked at about 230 MB."""
@@ -441,6 +594,21 @@ class TestChunkedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_bwk_peak_memory_bounded(self, descent_never_wins):
+        """n = 4 scores 4.6M grid points; one batch peaked at about 630 MB.
+        The stubbed descent only keeps the traced run short: it allocates
+        n-vectors."""
+        rng = np.random.default_rng(97)
+        inst = bwk_instance(rng.uniform(0, 1, (20, 4, 4)), rng.uniform(0, 1, (20, 4)), 8.0,
+                            normalize_spec(topk(4, 2)))
+        tracemalloc.start()
+        try:
+            benchmark_fixed_bwk(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestBenchmarks:
@@ -465,11 +633,9 @@ class TestBenchmarks:
     def test_bvc_grid_and_descent_agree(self):
         rng = np.random.default_rng(9)
         inst = bvc_instance(rng.uniform(0, 1, (20, 3, 3)))
-        from gradnorm.bandits import _grid_points, _subgradient_minimize
-
         M = inst.total_costs
         f = lambda x: eval_norm(inst.norm, M @ x)
-        grid = _grid_points(3, 200)
+        grid = whole_grid(3, 200)
         grid_best = min(f(g) for g in grid[np.random.default_rng(0).choice(len(grid), 4000)])
         grid_best = min(grid_best, float(min(f(g) for g in grid[::7])))
         pgd = f(_subgradient_minimize(f, 3))
@@ -510,10 +676,7 @@ class TestBenchmarks:
                               budget=0.4 * T)
         x, opt = benchmark_fixed_bwk(inst)
         # exhaustive check on the certified grid
-        from gradnorm.bandits import _grid_points
-        from gradnorm.norms import eval_norm_rows
-
-        grid = _grid_points(4, 100)[:, :3]
+        grid = whole_grid(4, 100)[:, :3]
         feasible = eval_norm_rows(inst.norm, grid @ inst.total_costs.T) <= inst.budget
         grid_opt = float((grid[feasible] @ inst.total_rewards).max())
         assert opt >= grid_opt * 0.99

@@ -8,12 +8,11 @@ import pytest
 from gradnorm.approx import (
     Leaf,
     Outer,
+    ShiftedLpApprox,
+    SoftmaxApprox,
     TopKApprox,
     build_nested_max_approx,
     build_symmetric_approx,
-    gs_topk_approx,
-    shifted_lp_approx,
-    softmax_approx,
 )
 from gradnorm.norms import (
     NormSpecError,
@@ -31,7 +30,7 @@ from gradnorm.verify import finite_diff_grad
 
 class TestNodes:
     def test_single_leaf_is_identity(self):
-        inner = softmax_approx(6, 1.0)
+        inner = SoftmaxApprox(6, 1.0)
         leaf = Leaf(inner, scale=1.0)
         rng = np.random.default_rng(0)
         x = rng.exponential(1.0, 6)
@@ -41,12 +40,12 @@ class TestNodes:
     def test_disjoint_linear_blocks(self):
         """Softmax over two l1 leaves: gradient constant within each block."""
         blocks = [np.arange(0, 3), np.arange(3, 6)]
-        children = [Leaf(shifted_lp_approx(3, 1.0, 1.0), dim=6, subset=b) for b in blocks]
-        node = Outer(softmax_approx(2, 1.0), children)
+        children = [Leaf(ShiftedLpApprox(3, 1.0, 1.0), dim=6, subset=b) for b in blocks]
+        node = Outer(SoftmaxApprox(2, 1.0), children)
         rng = np.random.default_rng(1)
         x = rng.exponential(1.0, 6)
         sums = np.array([x[:3].sum(), x[3:].sum()])
-        sm = softmax_approx(2, 1.0)
+        sm = SoftmaxApprox(2, 1.0)
         assert node.value(x) == pytest.approx(sm.value(sums))
         g = node.gradient(x)
         assert np.ptp(g[:3]) < 1e-12 and np.ptp(g[3:]) < 1e-12
@@ -55,11 +54,11 @@ class TestNodes:
 
     def test_outer_validates_shapes(self):
         with pytest.raises(ValueError):
-            Outer(softmax_approx(3, 1.0), [Leaf(softmax_approx(4, 1.0))] * 2)
+            Outer(SoftmaxApprox(3, 1.0), [Leaf(SoftmaxApprox(4, 1.0))] * 2)
         with pytest.raises(ValueError):
-            Leaf(softmax_approx(4, 1.0), dim=6, subset=np.arange(3))
+            Leaf(SoftmaxApprox(4, 1.0), dim=6, subset=np.arange(3))
         with pytest.raises(ValueError):
-            Leaf(softmax_approx(4, 1.0), scale=0.0)
+            Leaf(SoftmaxApprox(4, 1.0), scale=0.0)
 
     def test_chain_rule_random_trees(self):
         """Gradients match central finite differences on 100 random trees."""
@@ -73,16 +72,16 @@ class TestNodes:
                 subset = rng.choice(dim, size=size, replace=False)
                 scale = float(rng.uniform(0.5, 2.0))
                 if kind == 0:
-                    inner = softmax_approx(size, float(rng.uniform(0.5, 2.0)))
+                    inner = SoftmaxApprox(size, float(rng.uniform(0.5, 2.0)))
                 elif kind == 1:
-                    inner = shifted_lp_approx(size, float(rng.uniform(1.0, 3.0)), 1.0)
+                    inner = ShiftedLpApprox(size, float(rng.uniform(1.0, 3.0)), 1.0)
                 else:
-                    inner = gs_topk_approx(size, int(rng.integers(1, size + 1)), 1.0,
+                    inner = TopKApprox(size, int(rng.integers(1, size + 1)), 1.0,
                                            samples=400, seed=int(rng.integers(10_000)))
                 children.append(Leaf(inner, dim=dim, subset=subset, scale=scale))
-            node = Outer(softmax_approx(len(children), 1.0), children)
+            node = Outer(SoftmaxApprox(len(children), 1.0), children)
             if tree_idx % 3 == 0:  # depth 2
-                node = Outer(softmax_approx(2, 0.7), [node, Leaf(shifted_lp_approx(dim, 2.0, 1.0))])
+                node = Outer(SoftmaxApprox(2, 0.7), [node, Leaf(ShiftedLpApprox(dim, 2.0, 1.0))])
             x = rng.exponential(1.0, dim)
             g = node.gradient(x)
             fd = finite_diff_grad(node.value, x, 1e-4)
@@ -95,12 +94,12 @@ def value_and_grad_cases():
     spec = normalize_spec(topk(6, 2))
     specs = [normalize_spec(linf(3)), normalize_spec(topk(3, 2))]
     cases = [
-        ("softmax", softmax_approx(6, 0.7)),
-        ("shifted-lp", shifted_lp_approx(6, 2.5, 0.5)),
-        ("shifted-lp q=1", shifted_lp_approx(6, 1.0, 0.5)),
-        ("topk", gs_topk_approx(6, 3, 0.5, samples=500, seed=40)),
-        ("leaf subset", Leaf(softmax_approx(3, 1.3), dim=6, subset=[4, 0, 2], scale=1.7)),
-        ("leaf subset topk", Leaf(gs_topk_approx(3, 2, 1.0, samples=300, seed=41),
+        ("softmax", SoftmaxApprox(6, 0.7)),
+        ("shifted-lp", ShiftedLpApprox(6, 2.5, 0.5)),
+        ("shifted-lp q=1", ShiftedLpApprox(6, 1.0, 0.5)),
+        ("topk", TopKApprox(6, 3, 0.5, samples=500, seed=40)),
+        ("leaf subset", Leaf(SoftmaxApprox(3, 1.3), dim=6, subset=[4, 0, 2], scale=1.7)),
+        ("leaf subset topk", Leaf(TopKApprox(3, 2, 1.0, samples=300, seed=41),
                                   dim=6, subset=[1, 5, 3], scale=0.6)),
         ("sym", build_symmetric_approx(ones_profile(spec), 0.5, samples=400, seed=42, norm=spec)),
         ("nested", build_nested_max_approx([ones_profile(s) for s in specs], 3, 0.5,
@@ -231,12 +230,10 @@ class TestSymmetricBuild:
         prof = ones_profile(spec)
         blocks = (8 - 1).bit_length() + 1
         rng = np.random.default_rng(11)
-        from gradnorm.norms import top_k_norm
-
         for _ in range(500):
             x = rng.exponential(1.0, 8)
             n = eval_norm(spec, x)
-            m = max(prof.c[(1 << j) - 1] / (1 << j) * top_k_norm(x, 1 << j) for j in range(4))
+            m = max(prof.c[(1 << j) - 1] / (1 << j) * eval_norm(topk(8, 1 << j), x) for j in range(4))
             assert n / blocks - 1e-9 <= m <= n + 1e-9
 
 

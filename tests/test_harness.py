@@ -130,6 +130,12 @@ class TestRunExperiment:
         })
         assert report.passed is True
 
+    def test_verify_dim_defaults_to_the_cli_default(self):
+        config = {"check": "stability", "trials": 5, "samples": 100}
+        report = run_verify_config(config).to_dict()
+        assert report == run_verify_config({**config, "dim": 16}).to_dict()
+        assert len(report["witness"]["x"]) == 16
+
     def test_lb_single_round_ratio_one(self, tmp_path):
         rng = np.random.default_rng(3)
         inst = LbInstance(m=3, k=2, T=1, jobs=[rng.uniform(0, 1, (3, 2))],
@@ -519,3 +525,39 @@ class TestOutOfContractInput:
             assert proc.returncode == 2, proc.stdout + proc.stderr
             assert "vs run needs an instance with resource structure" in proc.stderr
             assert proc.stdout == ""
+
+    @pytest.mark.parametrize("extra", [["--opt", "0"], ["--opt", "0", "--epsilon", "0.5"],
+                                       ["--opt", "-2"], ["--opt", "inf"], ["--opt", "nan"]],
+                             ids=["0", "0-with-epsilon", "negative", "inf", "nan"])
+    def test_bwk_opt_not_positive_and_finite(self, tmp_path, extra):
+        out = str(tmp_path / "res.csv")
+        proc = run_cli("bwk", "run", "--instance", self.bandit_file(tmp_path, rows_kept=30),
+                       "--allow-small-budget", *extra, "--out", out)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "must be positive and finite, got" in proc.stderr and "bwk opt" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not os.path.exists(out)
+
+    def test_bwk_zero_benchmark_without_opt(self, tmp_path):
+        path = self.bandit_file(tmp_path, rows_kept=30)
+        header, *rows = open(path).read().splitlines()
+        rows = [json.loads(line) for line in rows]
+        for row in rows:
+            row["r"] = [0.0] * len(row["r"])
+        lines = [header, *(json.dumps(row, sort_keys=True) for row in rows)]
+        open(path, "w").write("\n".join(lines) + "\n")
+        proc = run_cli("bwk", "run", "--instance", path, "--allow-small-budget")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert ("bwk opt (the benchmark when --opt is unset) must be positive and finite, "
+                "got 0.0") in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("opt", ["auto:1.0", "given:2.0"])
+    @pytest.mark.parametrize("theta", ["0", "-1", "inf", "nan"])
+    def test_theta_not_positive_and_finite(self, tmp_path, opt, theta):
+        path = self.lb_file(tmp_path, {"m": 2, "k": 2, "T": 1}, [[[1.0, 2.0], [1.0, 2.0]]])
+        proc = run_cli("lb", "run", "--instance", path, "--approx", "softmax",
+                       "--opt", opt, "--theta", theta)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "theta must be positive and finite, got" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -21,7 +21,6 @@ from gradnorm.norms import (
     ordered,
     orlicz,
     parse_norm_spec,
-    top_k_norm,
     topk,
 )
 
@@ -54,15 +53,15 @@ class TestClosedForms:
         assert eval_norm(orlicz(2, lambda z: z * z), [3.0, 4.0]) == pytest.approx(5.0, rel=1e-9)
 
     def test_top_k_norm_extremes(self):
-        assert top_k_norm([3.0, 1.0, 2.0], 1) == 3.0
-        assert top_k_norm([3.0, 1.0, 2.0], 3) == 6.0
-        assert top_k_norm(np.zeros(5), 2) == 0.0
+        assert eval_norm(topk(3, 1), [3.0, 1.0, 2.0]) == 3.0
+        assert eval_norm(topk(3, 3), [3.0, 1.0, 2.0]) == 6.0
+        assert eval_norm(topk(5, 2), np.zeros(5)) == 0.0
 
     def test_top_k_out_of_range(self):
         with pytest.raises(NormSpecError):
-            top_k_norm([1.0, 2.0], 0)
+            topk(2, 0)
         with pytest.raises(NormSpecError):
-            top_k_norm([1.0, 2.0], 3)
+            topk(2, 3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(NormSpecError):

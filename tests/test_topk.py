@@ -7,9 +7,9 @@ import threading
 import numpy as np
 import pytest
 
-from gradnorm.approx import TopKConfig, gs_topk_approx
+from gradnorm.approx import TopKApprox
 from gradnorm.approx.topk import _SCRATCH_FLOATS, _merge_network, _network_plan
-from gradnorm.norms import top_k_norm
+from gradnorm.norms import eval_norm, topk
 
 # Monte-Carlo estimate of E max(noise) in d=16 at eps=1, frozen at first build.
 VALUE0_BASELINE_D16_K1 = 3.3843576592150155
@@ -18,27 +18,27 @@ VALUE0_BASELINE_D16_K1 = 3.3843576592150155
 class TestSamplingContract:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TopKConfig(4, 0, 1.0)
+            TopKApprox(4, 0, 1.0)
         with pytest.raises(ValueError):
-            TopKConfig(4, 5, 1.0)
+            TopKApprox(4, 5, 1.0)
         with pytest.raises(ValueError):
-            TopKConfig(4, 2, 0.0)
+            TopKApprox(4, 2, 0.0)
         with pytest.raises(ValueError):
-            TopKConfig(4, 2, 1.0, samples=0)
+            TopKApprox(4, 2, 1.0, samples=0)
 
     def test_noise_mean_as_configured(self):
-        tk = gs_topk_approx(8, 4, 0.5, samples=200_000, seed=0)
+        tk = TopKApprox(8, 4, 0.5, samples=200_000, seed=0)
         want = 1.0 / (4 * 0.5)
         assert tk.noise.mean() == pytest.approx(want, rel=0.01)
 
     def test_rank_one_for_k1(self):
-        tk = gs_topk_approx(8, 1, 1.0, samples=1000, seed=1)
+        tk = TopKApprox(8, 1, 1.0, samples=1000, seed=1)
         assert (tk.ranks == 1).all()
 
     def test_rank_distribution_mean(self):
         # geometric with ratio q = 1 - 1/k censored at d, P(K >= j) = q^(j-1)
         # for j <= d and P(K = d) = q^(d-1): mean close to k when k << d
-        tk = gs_topk_approx(256, 8, 1.0, samples=200_000, seed=2)
+        tk = TopKApprox(256, 8, 1.0, samples=200_000, seed=2)
         assert tk.mean_rank == pytest.approx(8.0, rel=0.02)
 
     def test_rank_tail_censored_at_d(self):
@@ -51,7 +51,7 @@ class TestSamplingContract:
         d = 16
         n = 200_000
         q = 1.0 - 1.0 / d
-        ranks = gs_topk_approx(d, d, 1.0, samples=n, seed=7).ranks
+        ranks = TopKApprox(d, d, 1.0, samples=n, seed=7).ranks
         assert ranks.min() >= 1 and ranks.max() <= d
         tail = np.array([(ranks >= j).sum() for j in range(1, d + 1)])
         for j in range(1, d):
@@ -63,28 +63,28 @@ class TestSamplingContract:
         assert abs(tail[d - 1] / n - p_d) < 5.0 * se, (tail[d - 1] / n, p_d)
 
     def test_common_random_numbers(self):
-        a = gs_topk_approx(8, 3, 1.0, samples=500, seed=42)
-        b = gs_topk_approx(8, 3, 1.0, samples=500, seed=42)
+        a = TopKApprox(8, 3, 1.0, samples=500, seed=42)
+        b = TopKApprox(8, 3, 1.0, samples=500, seed=42)
         x = np.linspace(0, 2, 8)
         assert a.value(x) == b.value(x)
         np.testing.assert_array_equal(a.gradient(x), b.gradient(x))
 
     def test_seed_changes_samples(self):
-        a = gs_topk_approx(8, 3, 1.0, samples=500, seed=1)
-        b = gs_topk_approx(8, 3, 1.0, samples=500, seed=2)
+        a = TopKApprox(8, 3, 1.0, samples=500, seed=1)
+        b = TopKApprox(8, 3, 1.0, samples=500, seed=2)
         assert not np.array_equal(a.noise, b.noise)
 
 
 class TestValue:
     def test_value_at_zero_regression(self):
-        tk = gs_topk_approx(16, 1, 1.0, samples=100_000, seed=20260810)
+        tk = TopKApprox(16, 1, 1.0, samples=100_000, seed=20260810)
         v0 = tk.value(np.zeros(16))
         assert v0 == pytest.approx(VALUE0_BASELINE_D16_K1, rel=1e-12)
         assert 1.0 <= v0 <= 2.0 * math.log(16)
 
     def test_spike_sandwich(self):
         """M <= value(M*e1) <= M + value(0), exact per sample."""
-        tk = gs_topk_approx(8, 1, 1.0, samples=2000, seed=3)
+        tk = TopKApprox(8, 1, 1.0, samples=2000, seed=3)
         M = 1e6
         x = np.zeros(8)
         x[0] = M
@@ -93,23 +93,23 @@ class TestValue:
 
     def test_lower_bound_via_capped_rank(self):
         """value(x) >= mean(min(K,k))/k * top_k(x), exact on the sample set."""
-        tk = gs_topk_approx(12, 4, 0.7, samples=3000, seed=4)
+        tk = TopKApprox(12, 4, 0.7, samples=3000, seed=4)
         rng = np.random.default_rng(5)
         for _ in range(200):
             x = rng.exponential(1.0, 12) * rng.choice([0.1, 1.0, 10.0])
-            assert tk.value(x) >= tk.meta.lower_scale * top_k_norm(x, 4) - 1e-9
+            assert tk.value(x) >= tk.meta.lower_scale * eval_norm(topk(12, 4), x) - 1e-9
 
     def test_fraction_k_at_least_k_bound(self):
-        tk = gs_topk_approx(12, 4, 0.7, samples=3000, seed=4)
+        tk = TopKApprox(12, 4, 0.7, samples=3000, seed=4)
         frac = float((tk.ranks >= 4).mean())
         rng = np.random.default_rng(6)
         for _ in range(200):
             x = rng.exponential(1.0, 12)
-            assert tk.value(x) + 1e-9 >= frac * top_k_norm(x, 4)
+            assert tk.value(x) + 1e-9 >= frac * eval_norm(topk(12, 4), x)
 
     def test_value_monotone_convex_subadditive(self):
         """Per-sample the map is a norm of x plus a constant; means inherit it."""
-        tk = gs_topk_approx(10, 3, 1.0, samples=1000, seed=7)
+        tk = TopKApprox(10, 3, 1.0, samples=1000, seed=7)
         rng = np.random.default_rng(8)
         for _ in range(200):
             x = rng.exponential(1.0, 10)
@@ -120,7 +120,7 @@ class TestValue:
             assert vxy <= vx + vy + 1e-9
 
     def test_value_stats_se(self):
-        tk = gs_topk_approx(8, 2, 1.0, samples=5000, seed=9)
+        tk = TopKApprox(8, 2, 1.0, samples=5000, seed=9)
         mean, se = tk.value_stats(np.arange(8.0))
         assert mean == pytest.approx(tk.value(np.arange(8.0)))
         assert 0.0 < se < mean
@@ -133,7 +133,7 @@ def reference_sample_values(tk, x):
         return z.max(axis=1)
     srt = np.sort(z, axis=1)[:, ::-1]
     np.cumsum(srt, axis=1, out=srt)
-    return srt[np.arange(tk.cfg.samples), tk.ranks - 1]
+    return srt[np.arange(tk.samples), tk.ranks - 1]
 
 
 def reference_stats(tk, x):
@@ -152,7 +152,7 @@ class TestValueKernelBitExact:
 
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_k_one_middle_and_d(self, k):
-        tk = gs_topk_approx(16, k, 0.5, samples=3000, seed=30 + k)
+        tk = TopKApprox(16, k, 0.5, samples=3000, seed=30 + k)
         rng = np.random.default_rng(31)
         for scale in (0.0, 0.1, 1.0, 100.0):
             self.assert_exact(tk, rng.exponential(1.0, 16) * scale)
@@ -160,32 +160,32 @@ class TestValueKernelBitExact:
     @pytest.mark.parametrize("k", [1, 7])
     def test_chunk_boundary(self, k):
         d = 64
-        tk = gs_topk_approx(d, k, 1.0, samples=_SCRATCH_FLOATS // d + 3, seed=32)
+        tk = TopKApprox(d, k, 1.0, samples=_SCRATCH_FLOATS // d + 3, seed=32)
         rng = np.random.default_rng(33)
         for _ in range(3):
             self.assert_exact(tk, rng.uniform(0.0, 5.0, d))
 
     def test_many_chunks(self):
-        tk = gs_topk_approx(16, 4, 1.0, samples=100_000, seed=34)
+        tk = TopKApprox(16, 4, 1.0, samples=100_000, seed=34)
         self.assert_exact(tk, np.random.default_rng(35).uniform(0.0, 3.0, 16))
 
     def test_ties(self):
         # integer inputs with zeroed noise rows tie whole rows of the sort
         for k in (1, 3, 6):
-            tk = gs_topk_approx(6, k, 1.0, samples=400, seed=36)
+            tk = TopKApprox(6, k, 1.0, samples=400, seed=36)
             tk.noise[::3] = 0.0
             for x in (np.ones(6), np.array([2.0, 0.0, 2.0, 1.0, 1.0, 2.0]), np.zeros(6)):
                 self.assert_exact(tk, x)
 
     def test_nan_input_gives_nan(self):
-        tk = gs_topk_approx(6, 3, 1.0, samples=100, seed=37)
+        tk = TopKApprox(6, 3, 1.0, samples=100, seed=37)
         x = np.array([1.0, np.nan, 0.0, 2.0, 0.0, 0.0])
         assert math.isnan(tk.value(x))
         assert math.isnan(float(reference_sample_values(tk, x).mean()))
 
     def test_threads_share_instances(self):
         d = 32
-        tks = [gs_topk_approx(d, k, 1.0, samples=5000, seed=38 + k) for k in (1, 4, 32)]
+        tks = [TopKApprox(d, k, 1.0, samples=5000, seed=38 + k) for k in (1, 4, 32)]
         xs = [np.random.default_rng(39 + i).uniform(0.0, 4.0, d) for i in range(6)]
         want = [[reference_stats(tk, x) for x in xs] for tk in tks]
         errors = []
@@ -233,7 +233,7 @@ def reference_membership(tk, z):
 
 def reference_gradient(tk, x):
     z = np.asarray(x, dtype=np.float32) + tk.noise.astype(np.float32)
-    return reference_membership(tk, z).sum(axis=0, dtype=np.int64) / tk.cfg.samples
+    return reference_membership(tk, z).sum(axis=0, dtype=np.int64) / tk.samples
 
 
 def reference_pair(tk, x, y, w1, w0):
@@ -241,7 +241,7 @@ def reference_pair(tk, x, y, w1, w0):
     z1 = z0 + np.asarray(y, dtype=np.float32)
     mem0 = reference_membership(tk, z0)
     mem1 = reference_membership(tk, z1)
-    n = tk.cfg.samples
+    n = tk.samples
     m0 = mem0.sum(axis=0, dtype=np.int64) / n
     m1 = mem1.sum(axis=0, dtype=np.int64) / n
     m10 = (mem0 & mem1).sum(axis=0, dtype=np.int64) / n
@@ -265,13 +265,13 @@ class TestMembershipKernelBitExact:
     def test_k_one_middle_and_d(self, d):
         rng = np.random.default_rng(50 + d)
         for k in (1, d // 2 - 1, d):
-            tk = gs_topk_approx(d, k, 0.5, samples=3000, seed=51 + k)
+            tk = TopKApprox(d, k, 0.5, samples=3000, seed=51 + k)
             for scale in (0.0, 0.1, 1.0, 100.0):
                 x = rng.exponential(1.0, d) * scale
                 self.assert_exact(tk, x, rng.exponential(0.3, d))
 
     def test_many_samples(self):
-        tk = gs_topk_approx(16, 4, 1.0, samples=100_000, seed=52)
+        tk = TopKApprox(16, 4, 1.0, samples=100_000, seed=52)
         rng = np.random.default_rng(53)
         self.assert_exact(tk, rng.uniform(0.0, 3.0, 16), rng.exponential(0.2, 16))
 
@@ -280,36 +280,45 @@ class TestMembershipKernelBitExact:
         # integer inputs with zeroed noise rows tie whole rows at the threshold
         rng = np.random.default_rng(54)
         for k in (1, 3, d):
-            tk = gs_topk_approx(d, k, 1.0, samples=400, seed=55 + k)
+            tk = TopKApprox(d, k, 1.0, samples=400, seed=55 + k)
             tk.noise[::3] = 0.0
             tk._noise32 = None  # drop the cached float32 copy
             for x in (np.ones(d), np.zeros(d), rng.integers(0, 3, d).astype(float)):
                 self.assert_exact(tk, x, rng.integers(0, 2, d).astype(float))
 
     @pytest.mark.parametrize("d", [8, 17])
-    def test_non_finite_input_takes_the_row_sort(self, d):
-        """NaN and infinity go to the row sort (NaN ordered last), not the
-        network, which would spread a NaN to every row it meets."""
-        tk = gs_topk_approx(d, 3, 1.0, samples=500, seed=56)
-        tk1 = gs_topk_approx(d, 1, 1.0, samples=500, seed=58)
+    def test_infinity_is_ordered_and_nan_raises(self, d):
+        """An infinity in x or y goes through the network like any value; a
+        NaN, given or made by inf - inf, raises instead of spreading."""
+        tk = TopKApprox(d, 3, 1.0, samples=500, seed=56)
+        tk1 = TopKApprox(d, 1, 1.0, samples=500, seed=58)
         rng = np.random.default_rng(57)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            x = rng.exponential(1.0, d)
-            x[2] = np.nan
-            self.assert_exact(tk, x, rng.exponential(1.0, d))
-            x = rng.exponential(1.0, d)
-            y = rng.exponential(1.0, d)
-            y[1], x[4] = np.inf, -np.inf
-            self.assert_exact(tk, x, y)
-            self.assert_exact(tk, np.full(d, np.inf), np.full(d, -np.inf))
-            x = rng.exponential(1.0, d)  # finite x, non-finite y
-            self.assert_exact(tk, x, np.where(np.arange(d) == 2, np.nan, 0.5))
-            self.assert_exact(tk, x, np.where(np.arange(d) == 5, -np.inf, 0.5))
-            self.assert_exact(tk1, np.where(np.arange(d) == 3, np.nan, 1.0), np.zeros(d))
+        x = rng.exponential(1.0, d)
+        y = rng.exponential(1.0, d)
+        y[1], x[4] = np.inf, -np.inf
+        for t in (tk, tk1):
+            self.assert_exact(t, x, y)
+            self.assert_exact(t, np.full(d, np.inf), np.zeros(d))
+            self.assert_exact(t, np.where(np.arange(d) % 3 == 0, -np.inf, 1.0),
+                              np.where(np.arange(d) % 3 == 1, np.inf, 0.0))
+            self.assert_exact(t, rng.exponential(1.0, d), np.where(np.arange(d) == 5, -np.inf, 0.5))
+        nan_x = np.where(np.arange(d) == 2, np.nan, 1.0)
+        for t in (tk, tk1):
+            with pytest.raises(ValueError):
+                t.gradient(nan_x)
+            with pytest.raises(ValueError):
+                t.pair_margin_stats(nan_x, np.zeros(d), 1.0, 0.6)
+            with pytest.raises(ValueError):  # finite x, NaN in y
+                t.pair_margin_stats(np.ones(d), np.where(np.arange(d) == 2, np.nan, 0.5), 1.0, 0.6)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                with pytest.raises(ValueError):
+                    t.pair_margin_stats(np.full(d, np.inf), np.full(d, -np.inf), 1.0, 0.6)
+                with pytest.raises(ValueError):  # in one coordinate
+                    t.pair_margin_stats(x, np.where(np.arange(d) == 4, np.inf, 0.0), 1.0, 0.6)
 
     def test_threads_share_one_instance(self):
         d = 16
-        tk = gs_topk_approx(d, 4, 1.0, samples=5000, seed=59)
+        tk = TopKApprox(d, 4, 1.0, samples=5000, seed=59)
         xs = [np.random.default_rng(60 + i).uniform(0.0, 4.0, d) for i in range(6)]
         ys = [np.random.default_rng(70 + i).exponential(0.3, d) for i in range(6)]
         want = [(reference_gradient(tk, x), reference_pair(tk, x, y, 1.0, 0.5))
@@ -346,7 +355,7 @@ class TestMembershipKernelBitExact:
     def test_float32_noise_is_published_whole(self):
         """Threads that find the float32 noise copy built never read a part of it."""
         d = 16
-        tk = gs_topk_approx(d, 4, 1.0, samples=20_000, seed=62)
+        tk = TopKApprox(d, 4, 1.0, samples=20_000, seed=62)
         x = np.random.default_rng(63).uniform(0.0, 4.0, d)
         want = reference_gradient(tk, x)
         errors = []
@@ -423,7 +432,7 @@ class TestGradient:
     def test_counting_identity_exact(self):
         """sum_i grad_i equals the sample average of min(K, d), exactly."""
         for k in (1, 3, 8):
-            tk = gs_topk_approx(8, k, 1.0, samples=4000, seed=10 + k)
+            tk = TopKApprox(8, k, 1.0, samples=4000, seed=10 + k)
             rng = np.random.default_rng(11)
             for _ in range(20):
                 x = rng.exponential(1.0, 8) * rng.choice([0, 0.1, 1.0, 100.0])
@@ -431,7 +440,7 @@ class TestGradient:
                 assert g.sum() == pytest.approx(tk.mean_rank, abs=1e-12)
 
     def test_exchangeable_at_zero(self):
-        tk = gs_topk_approx(16, 4, 1.0, samples=100_000, seed=12)
+        tk = TopKApprox(16, 4, 1.0, samples=100_000, seed=12)
         g = tk.gradient(np.zeros(16))
         mean = g.mean()
         se = math.sqrt(mean * (1 - mean) / 100_000)
@@ -441,7 +450,7 @@ class TestGradient:
         """d=2, k=1: the losing coordinate's mass is P(nu2 > gap + nu1)."""
         eps = 0.5
         S = 200_000
-        tk = gs_topk_approx(2, 1, eps, samples=S, seed=3)
+        tk = TopKApprox(2, 1, eps, samples=S, seed=3)
         g = tk.gradient(np.array([10.0, 0.0]))
         exact = math.exp(-eps * 10.0) / 2.0  # iid exponentials, memoryless race
         se = math.sqrt(exact * (1 - exact) / S)
@@ -449,14 +458,14 @@ class TestGradient:
         assert g[0] >= 1.0 - exact - 3 * se
 
     def test_entries_are_probabilities(self):
-        tk = gs_topk_approx(12, 5, 0.3, samples=2000, seed=13)
+        tk = TopKApprox(12, 5, 0.3, samples=2000, seed=13)
         rng = np.random.default_rng(14)
         for _ in range(50):
             g = tk.gradient(rng.exponential(1.0, 12))
             assert (g >= 0.0).all() and (g <= 1.0).all()
 
     def test_pair_stats_match_gradients(self):
-        tk = gs_topk_approx(10, 3, 1.0, samples=3000, seed=15)
+        tk = TopKApprox(10, 3, 1.0, samples=3000, seed=15)
         rng = np.random.default_rng(16)
         x = rng.exponential(1.0, 10)
         y = rng.exponential(0.3, 10)
@@ -467,7 +476,7 @@ class TestGradient:
     def test_tie_handling_keeps_exact_count(self):
         # constant vector with zeroed noise rows is the worst tie case; the
         # membership kernel must still select exactly K coordinates per sample
-        tk = gs_topk_approx(6, 3, 1.0, samples=50, seed=17)
+        tk = TopKApprox(6, 3, 1.0, samples=50, seed=17)
         tk.noise[:10] = 0.0
         tk._noise32 = None  # drop the cached float32 copy
         g = tk.gradient(np.ones(6))

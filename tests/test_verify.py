@@ -9,9 +9,9 @@ import pytest
 from gradnorm.approx import (
     ApproxMeta,
     GradStableApprox,
-    gs_topk_approx,
-    shifted_lp_approx,
-    softmax_approx,
+    ShiftedLpApprox,
+    SoftmaxApprox,
+    TopKApprox,
 )
 from gradnorm.norms import linf, lp, normalize_spec, topk
 from gradnorm.verify import (
@@ -52,7 +52,7 @@ class TestFiniteDifferences:
 
     def test_softmax_at_zero_is_uniform(self):
         # one-sided at the boundary, so the step must absorb the curvature
-        sm = softmax_approx(8, 1.0)
+        sm = SoftmaxApprox(8, 1.0)
         g = finite_diff_grad(sm.value, np.zeros(8), 1e-7)
         np.testing.assert_allclose(g, 1.0 / 8, atol=1e-8)
 
@@ -73,7 +73,7 @@ class TestFiniteDifferences:
 
 class TestGradientStability:
     def test_softmax_never_violates(self):
-        rep = check_gradient_stability(softmax_approx(16, 1.0), trials=500, seed=1)
+        rep = check_gradient_stability(SoftmaxApprox(16, 1.0), trials=500, seed=1)
         assert rep.passed
         assert rep.worst_margin >= -1e-9
 
@@ -95,44 +95,44 @@ class TestGradientStability:
         assert margin.min() < -0.5  # far beyond any tolerance
 
     def test_reproducible_reports(self):
-        tk = gs_topk_approx(16, 4, 1.0, samples=4000, seed=3)
+        tk = TopKApprox(16, 4, 1.0, samples=4000, seed=3)
         a = check_gradient_stability(tk, trials=50, seed=7, spike_ranks=[4, 5])
         b = check_gradient_stability(tk, trials=50, seed=7, spike_ranks=[4, 5])
         assert a.worst_margin == b.worst_margin
         assert a.to_dict() == b.to_dict()
 
     def test_topk_declared_delta_passes(self):
-        tk = gs_topk_approx(16, 4, 1.0, samples=20_000, seed=4)
+        tk = TopKApprox(16, 4, 1.0, samples=20_000, seed=4)
         rep = check_gradient_stability(tk, trials=150, seed=5, spike_ranks=[4, 5])
         assert rep.passed, rep.worst_margin
 
     def test_topk_declared_delta_passes_at_k_equals_d(self):
         """k = d: a spike that pushes a coordinate to rank d costs a factor q only."""
-        tk = gs_topk_approx(16, 16, 1.0, samples=20_000, seed=4)
+        tk = TopKApprox(16, 16, 1.0, samples=20_000, seed=4)
         rep = check_gradient_stability(tk, trials=150, seed=5, spike_ranks=[16])
         assert rep.passed, rep.worst_margin
 
     def test_report_serializes(self):
-        rep = check_gradient_stability(softmax_approx(4, 1.0), trials=20, seed=6)
+        rep = check_gradient_stability(SoftmaxApprox(4, 1.0), trials=20, seed=6)
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         assert "worst_margin" in blob
 
 
 class TestSandwich:
     def test_softmax_vs_linf_exact(self):
-        rep = check_sandwich(softmax_approx(16, 0.5), normalize_spec(linf(16)),
+        rep = check_sandwich(SoftmaxApprox(16, 0.5), normalize_spec(linf(16)),
                              trials=500, seed=8)
         assert rep.passed
         assert rep.worst_margin >= -1e-9
 
     def test_shifted_lp_exact(self):
-        sl = shifted_lp_approx(8, 2.0, 1.0)
+        sl = ShiftedLpApprox(8, 2.0, 1.0)
         rep = check_sandwich(sl, normalize_spec(lp(8, sl.q)), trials=500, seed=9)
         assert rep.passed
 
     def test_topk_weakened_lower_bound(self):
         """The raw estimator undershoots top-k by its declared lower scale only."""
-        tk = gs_topk_approx(16, 4, 1.0, samples=5000, seed=10)
+        tk = TopKApprox(16, 4, 1.0, samples=5000, seed=10)
         rep = check_sandwich(tk, normalize_spec(topk(16, 4)), trials=300, seed=11)
         assert rep.passed
         assert tk.meta.lower_scale < 1.0
@@ -143,12 +143,12 @@ class TestSandwich:
         stub = MaxStub(6)
         x = np.arange(6.0)
         assert stub.value_stats(x) == (stub.value(x), 0.0)
-        for approx, spec in ((stub, linf(6)), (softmax_approx(6, 0.5), normalize_spec(linf(6)))):
+        for approx, spec in ((stub, linf(6)), (SoftmaxApprox(6, 0.5), normalize_spec(linf(6)))):
             rep = check_sandwich(approx, spec, trials=50, abs_tol=1e-7, seed=14)
             assert rep.tolerance == 1e-7
 
     def test_wrong_alpha_fails(self):
-        tk = gs_topk_approx(16, 4, 1.0, samples=5000, seed=12)
+        tk = TopKApprox(16, 4, 1.0, samples=5000, seed=12)
         rep = check_sandwich(tk, normalize_spec(topk(16, 4)), alpha=0.1, gamma=0.0,
                              trials=300, seed=13)
         assert not rep.passed
@@ -156,14 +156,14 @@ class TestSandwich:
 
 class TestSmoothGame:
     def test_linear_passes_at_one_zero(self):
-        lin = shifted_lp_approx(6, 1.0, 1.0)
+        lin = ShiftedLpApprox(6, 1.0, 1.0)
         rep = check_smooth_game(lin, SmoothGameParams(1.0, 0.0, horizon=10),
                                 trials=50, seed=14)
         assert rep.passed
         assert rep.extra["minimal"] == {"lam": 1.0, "mu": 0.0, "score": 1.0}
 
     def test_horizon_one_reduces_to_monotonicity(self):
-        sm = softmax_approx(6, 1.0)
+        sm = SoftmaxApprox(6, 1.0)
         rep = check_smooth_game(sm, SmoothGameParams(1.0, 0.0, horizon=1),
                                 trials=100, seed=15)
         assert rep.passed
@@ -173,7 +173,7 @@ class TestSmoothGame:
             SmoothGameParams(1.0, 1.0, horizon=5)
 
     def test_softmax_random_frontier(self):
-        sm = softmax_approx(8, 1.0)
+        sm = SoftmaxApprox(8, 1.0)
         rep = check_smooth_game(sm, SmoothGameParams(2.0, 0.5, horizon=20),
                                 trials=50, seed=16)
         assert rep.passed
@@ -182,20 +182,20 @@ class TestSmoothGame:
 
 class TestConverseJensen:
     def test_linear_equality(self):
-        lin = shifted_lp_approx(6, 1.0, 1.0)
+        lin = ShiftedLpApprox(6, 1.0, 1.0)
         rep = check_converse_jensen(lin, 1.0, 1.0, trials=30, horizon=10, seed=17)
         assert rep.passed
         assert rep.extra["minimal_factor"] == pytest.approx(1.0, abs=1e-9)
         assert rep.worst_margin >= -1e-9
 
     def test_softmax_factor_below_e(self):
-        sm = softmax_approx(8, 1.0)
+        sm = SoftmaxApprox(8, 1.0)
         rep = check_converse_jensen(sm, math.e, 1.0, trials=50, horizon=30, seed=18)
         assert rep.passed
         assert rep.extra["minimal_factor"] <= math.e
 
     def test_jensen_direction_stochastic(self):
-        tk = gs_topk_approx(12, 3, 1.0, samples=2000, seed=19)
+        tk = TopKApprox(12, 3, 1.0, samples=2000, seed=19)
         rep = check_converse_jensen(tk, 10.0, 1.0, trials=20, horizon=20, seed=20)
         assert rep.worst_margin >= -rep.tolerance * 100  # paired samples: near exact
 
@@ -203,7 +203,7 @@ class TestConverseJensen:
         """Minimal factor along an actual greedy run's increments, frozen."""
         from gradnorm.approx import build_approx
         from gradnorm.loadbalance import LbInstance, brute_force_opt, run_greedy
-        from gradnorm.norms import top_k_norm
+        from gradnorm.norms import eval_norm
         from gradnorm.seeding import derive_rng
 
         spec = normalize_spec(topk(4, 2))
@@ -218,7 +218,7 @@ class TestConverseJensen:
         trace = run_greedy(inst, builder, ("given", opt), seed=5)
         psi = builder(4, trace.phase_epsilons[0], trace.phase_seeds[0])
         steps = np.diff(np.vstack([np.zeros(4), trace.loads]), axis=0)
-        cap = max(top_k_norm(s, 2) for s in steps) + 1e-9
+        cap = max(eval_norm(topk(4, 2), s) for s in steps) + 1e-9
         rep = check_converse_jensen(psi, 10.0, cap, norm=spec, sequences=[steps])
         assert rep.passed
         assert rep.extra["minimal_factor"] == pytest.approx(1.015615862619544, rel=1e-9)
@@ -227,9 +227,9 @@ class TestConverseJensen:
 class TestStructure:
     def test_all_surrogates_structurally_sound(self):
         for approx in (
-            softmax_approx(8, 1.0),
-            shifted_lp_approx(8, 2.5, 0.5),
-            gs_topk_approx(8, 3, 1.0, samples=1500, seed=21),
+            SoftmaxApprox(8, 1.0),
+            ShiftedLpApprox(8, 2.5, 0.5),
+            TopKApprox(8, 3, 1.0, samples=1500, seed=21),
         ):
             rep = check_structure(approx, trials=150, seed=22)
             assert rep.passed, (approx, rep.worst_margin)

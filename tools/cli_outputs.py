@@ -101,6 +101,10 @@ COMMANDS = [
     ("usage-seeds-float", ["bvc", "run", "--instance", "bvc.jsonl"], {"seeds": 2.0}),
     ("usage-seeds-string", ["bvc", "run", "--instance", "bvc.jsonl"], {"seeds": "12"}),
     ("usage-config-not-object", ["bvc", "run", "--instance", "bvc.jsonl"], [1, 2]),
+    ("usage-bwk-opt-0", ["bwk", "run", "--instance", "bwk.jsonl", "--samples", "300",
+                         "--opt", "0"], None),
+    ("usage-lb-theta-0", ["lb", "run", "--instance", "lb.jsonl", "--approx", "softmax",
+                          "--theta", "0"], None),
 ]
 
 
