@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 from typing import Callable, Iterator
 
@@ -98,19 +98,6 @@ class BanditTrace:
     final_norm: float
     total_reward: float
     stopped_at: int  # first all-null round for budgeted runs, else T
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "actions": self.actions.tolist(),
-            "probs": self.probs.tolist(),
-            "losses": self.losses.tolist(),
-            "final_cost": self.final_cost.tolist(),
-            "final_norm": self.final_norm,
-            "total_reward": self.total_reward,
-            "stopped_at": self.stopped_at,
-            "extra": self.extra,
-        }
 
 
 # --- EXP3 core ----------------------------------------------------------------
@@ -121,7 +108,6 @@ class Exp3State:
     weights: np.ndarray
     eta: float
     phi: float  # uniform exploration mix
-    t: int = 0
 
     @classmethod
     def fresh(cls, n: int, horizon: int):
@@ -164,7 +150,6 @@ def exp3_update(state: Exp3State, action: int, prob: float, loss: float) -> Exp3
     peak = state.weights.max()
     if peak < 1e-100:  # keep weights representable over long horizons
         state.weights /= peak
-    state.t += 1
     return state
 
 
@@ -189,29 +174,49 @@ def _round_normalizer(
     return max(chord * inflate, 1e-12)
 
 
-def bvc_run(instance: BanditInstance, psi: GradStableApprox, seed: int = 0) -> BanditTrace:
-    """Bandits with vector costs: minimize the norm of the accumulated cost."""
-    if instance.rewards is not None:
-        raise ValueError("vector-cost instance must not carry rewards")
+def _play(
+    instance: BanditInstance,
+    psi: GradStableApprox,
+    seed: int,
+    scalarize: Callable[[int, int, float, float], float],
+    budget: float | None = None,
+) -> BanditTrace:
+    """The EXP3 round loop of both problems: each round draws an action, feeds
+    ``scalarize(t, action, <grad psi(loads), column>, normalizer)`` to the learner
+    and adds the column to the loads.  With a ``budget``, play stops at the first
+    round where ``||loads|| + d > budget``, and every later round plays the null
+    action with probability 1 and a NaN loss.
+    """
     if psi.dim != instance.d:
         raise ValueError("surrogate dimension must match the cost dimension")
-    n, T = instance.n, instance.T
-    inflate = _inflation(psi, eval_norm(instance.norm, np.ones(instance.d)))
-    state = Exp3State.fresh(n, T)
-    rng = derive_rng(seed, "bvc")
+    T = instance.T
+    ones_norm = eval_norm(instance.norm, np.ones(instance.d))
+    inflate = _inflation(psi, ones_norm)
+    state = Exp3State.fresh(instance.n, T)
+    rng = derive_rng(seed, "bvc" if budget is None else "bwk")
     loads = np.zeros(instance.d)
     actions = np.empty(T, dtype=np.int64)
     probs = np.empty(T)
     losses = np.empty(T)
+    rewards = instance.rewards
+    total_reward = 0.0
+    stopped_at = T
     for t in range(T):
+        if budget is not None and eval_norm(instance.norm, loads) + instance.d > budget:
+            stopped_at = t
+            actions[t:] = instance.null_action
+            probs[t:] = 1.0
+            losses[t:] = np.nan
+            break
         value, grad = psi.value_and_grad(loads)
         norm_bound = _round_normalizer(psi, loads, value, inflate)
         a, p = exp3_sample(state, rng)
         column = instance.costs[t, :, a]
-        loss = float(grad @ column) / norm_bound
-        loss = min(max(loss, 0.0), 1.0)
+        loss = scalarize(t, a, float(grad @ column), norm_bound)
         exp3_update(state, a, p, loss)
         loads += column
+        if rewards is not None:
+            total_reward += float(rewards[t, a])
         actions[t] = a
         probs[t] = p
         losses[t] = loss
@@ -221,10 +226,16 @@ def bvc_run(instance: BanditInstance, psi: GradStableApprox, seed: int = 0) -> B
         losses=losses,
         final_cost=loads,
         final_norm=eval_norm(instance.norm, loads),
-        total_reward=0.0,
-        stopped_at=T,
-        extra={"seed": seed, "epsilon": psi.meta.epsilon},
+        total_reward=total_reward,
+        stopped_at=stopped_at,
     )
+
+
+def bvc_run(instance: BanditInstance, psi: GradStableApprox, seed: int = 0) -> BanditTrace:
+    """Bandits with vector costs: minimize the norm of the accumulated cost."""
+    if instance.rewards is not None:
+        raise ValueError("vector-cost instance must not carry rewards")
+    return _play(instance, psi, seed, lambda t, a, dot, bound: min(max(dot / bound, 0.0), 1.0))
 
 
 def bwk_run(
@@ -249,58 +260,20 @@ def bwk_run(
         raise ValueError("opt_bwk must be positive")
     B = float(instance.budget)
     meta = psi.meta
-    ones_norm = eval_norm(instance.norm, np.ones(instance.d))
-    required = 4.0 * (meta.alpha + meta.gamma) * ones_norm
+    required = 4.0 * (meta.alpha + meta.gamma) * eval_norm(instance.norm, np.ones(instance.d))
     if B < required:
         msg = f"budget {B:g} below the analyzed regime 4*(alpha+gamma)*||1|| = {required:g}"
         if allow_small_budget:
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
         else:
             raise ValueError(msg + " (pass allow_small_budget=True to run anyway)")
-
-    n, T, null = instance.n, instance.T, instance.null_action
     Z = opt_bwk / B
-    inflate = _inflation(psi, ones_norm)
-    state = Exp3State.fresh(n, T)
-    rng = derive_rng(seed, "bwk")
-    loads = np.zeros(instance.d)
-    actions = np.empty(T, dtype=np.int64)
-    probs = np.empty(T)
-    losses = np.full(T, np.nan)
-    total_reward = 0.0
-    stopped_at = T
-    stopped = False
-    for t in range(T):
-        if not stopped and eval_norm(instance.norm, loads) + instance.d > B:
-            stopped = True
-            stopped_at = t
-        if stopped:
-            actions[t] = null
-            probs[t] = 1.0
-            continue
-        value, grad = psi.value_and_grad(loads)
-        norm_bound = _round_normalizer(psi, loads, value, inflate)
-        a, p = exp3_sample(state, rng)
-        column = instance.costs[t, :, a]
-        reward = float(instance.rewards[t, a])
-        gain = reward - Z * float(grad @ column) / norm_bound
-        loss = (1.0 - min(max(gain, -1.0), 1.0)) / 2.0
-        exp3_update(state, a, p, loss)
-        loads += column
-        total_reward += reward
-        actions[t] = a
-        probs[t] = p
-        losses[t] = loss
-    return BanditTrace(
-        actions=actions,
-        probs=probs,
-        losses=losses,
-        final_cost=loads,
-        final_norm=eval_norm(instance.norm, loads),
-        total_reward=total_reward,
-        stopped_at=stopped_at,
-        extra={"seed": seed, "epsilon": meta.epsilon, "budget": B, "opt_bwk": opt_bwk},
-    )
+
+    def loss(t: int, a: int, dot: float, bound: float) -> float:
+        gain = float(instance.rewards[t, a]) - Z * dot / bound
+        return (1.0 - min(max(gain, -1.0), 1.0)) / 2.0
+
+    return _play(instance, psi, seed, loss, budget=B)
 
 
 # --- offline fixed-mixture benchmarks -----------------------------------------

@@ -6,12 +6,21 @@ the worst observed margin and a witness input.  Deterministic surrogates are
 held to an absolute tolerance; Monte-Carlo ones get three standard errors of
 paired-sample slack.  These checks stand in for analytic proofs: declared
 metadata that fails here is wrong, not unlucky.
+
+Every check keeps its own trial body (random streams, draw order, margin
+formulas) and feeds each margin to one ``_Tally``, which counts violations
+and keeps the worst margin with its tolerance and witness.  A report's
+``tolerance`` is the tolerance applied at the worst margin for the
+gradient-stability and sandwich checks (``abs_tol``, or three standard
+errors where larger), ``abs_tol`` for the smooth-game and structure checks,
+and the base relative tolerance for the converse-Jensen check (each trial
+scales it by ``max(1, |rise|)``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,17 +54,40 @@ class CheckReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "witness": _jsonable(self.witness),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": self.seed,
-            "extra": _jsonable(self.extra),
-        }
+        return _jsonable(asdict(self))
+
+
+class _Tally:
+    """Violation count, and the worst margin with its tolerance and witness."""
+
+    def __init__(self, tolerance: float):
+        self.violations = 0
+        self.worst = math.inf
+        self.tolerance = tolerance
+        self.witness: dict = {}
+
+    def add(self, margin, tol, witness: Callable[[], dict], violated: bool | None = None) -> None:
+        """Count ``margin < -tol`` (or ``violated``); ``witness()`` runs on a new worst."""
+        if margin < -tol if violated is None else violated:
+            self.violations += 1
+        if margin < self.worst:
+            self.worst = float(margin)
+            self.tolerance = tol
+            self.witness = witness()
+
+    def report(self, name: str, trials: int, seed: int, extra: dict | None = None,
+               tolerance: float | None = None) -> CheckReport:
+        return CheckReport(
+            name=name,
+            trials=trials,
+            violations=self.violations,
+            worst_margin=self.worst,
+            witness=self.witness,
+            tolerance=self.tolerance if tolerance is None else tolerance,
+            passed=self.violations == 0,
+            seed=seed,
+            extra={} if extra is None else extra,
+        )
 
 
 def _jsonable(obj):
@@ -185,28 +217,12 @@ def check_gradient_stability(
     else:
         results = [one_trial(t) for t in range(trials)]
 
-    worst = math.inf
-    witness: dict = {}
-    violations = 0
-    tol_used = abs_tol
+    tally = _Tally(abs_tol)
     for t, (bad, margin_min, tol_min, i, x, y, coeff) in enumerate(results):
-        if bad:
-            violations += 1
-        if margin_min < worst:
-            worst = margin_min
-            tol_used = tol_min
-            witness = {"x": x, "y": y, "coordinate": i, "coeff": coeff, "trial": t}
-    return CheckReport(
-        name="gradient-stability",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        witness=witness,
-        tolerance=tol_used,
-        passed=violations == 0,
-        seed=seed,
-        extra={"delta": dlt, "stability_epsilon": eps_stab, "y_cap": y_cap},
-    )
+        tally.add(margin_min, tol_min, lambda: {"x": x, "y": y, "coordinate": i, "coeff": coeff,
+                                                "trial": t}, violated=bad)
+    return tally.report("gradient-stability", trials, seed,
+                        {"delta": dlt, "stability_epsilon": eps_stab, "y_cap": y_cap})
 
 
 def check_sandwich(
@@ -229,10 +245,7 @@ def check_sandwich(
     additive = g / meta.epsilon
     low = meta.lower_scale
 
-    worst = math.inf
-    witness: dict = {}
-    violations = 0
-    tol_used = abs_tol
+    tally = _Tally(abs_tol)
     for t in range(trials):
         rng = derive_rng(seed, "sandwich", t)
         x = _sample_point(rng, approx.dim, meta.epsilon)
@@ -242,23 +255,9 @@ def check_sandwich(
         lower_margin = v - low * n
         upper_margin = (a * n + additive) - v
         for margin, side in ((lower_margin, "lower"), (upper_margin, "upper")):
-            if margin < -tol:
-                violations += 1
-            if margin < worst:
-                worst = float(margin)
-                tol_used = tol
-                witness = {"x": x, "side": side, "value": v, "norm": n, "trial": t}
-    return CheckReport(
-        name="sandwich",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        witness=witness,
-        tolerance=tol_used,
-        passed=violations == 0,
-        seed=seed,
-        extra={"alpha": a, "gamma": g, "lower_scale": low},
-    )
+            tally.add(margin, tol,
+                      lambda: {"x": x, "side": side, "value": v, "norm": n, "trial": t})
+    return tally.report("sandwich", trials, seed, {"alpha": a, "gamma": g, "lower_scale": low})
 
 
 def _increasing_sequences(
@@ -301,9 +300,7 @@ def check_smooth_game(
 
     psi0 = approx.value(np.zeros(dim))
     rows = []
-    worst = math.inf
-    witness: dict = {}
-    violations = 0
+    tally = _Tally(abs_tol)
     for t in range(trials):
         rng = derive_rng(seed, "smoothgame", t)
         steps_star = _increasing_sequences(rng, T, dim, params.step_cap, norm_of)
@@ -320,11 +317,7 @@ def check_smooth_game(
         b = psi_prev - psi0
         rows.append((lhs, a, b))
         margin = params.lam * a + params.mu * b - lhs
-        if margin < -abs_tol:
-            violations += 1
-        if margin < worst:
-            worst = float(margin)
-            witness = {"lhs": lhs, "opt_term": a, "alg_term": b, "trial": t}
+        tally.add(margin, abs_tol, lambda: {"lhs": lhs, "opt_term": a, "alg_term": b, "trial": t})
 
     arr = np.asarray(rows)
     feasible = []
@@ -334,24 +327,14 @@ def check_smooth_game(
         if idx.size:
             feasible.append((float(lams[idx[0]]), float(mu)))
     best = min(feasible, key=lambda p: p[0] / (1.0 - p[1])) if feasible else None
-    return CheckReport(
-        name="smooth-game",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        witness=witness,
-        tolerance=abs_tol,
-        passed=violations == 0,
-        seed=seed,
-        extra={
-            "lam": params.lam,
-            "mu": params.mu,
-            "minimal": {"lam": best[0], "mu": best[1], "score": best[0] / (1.0 - best[1])}
-            if best
-            else None,
-            "frontier": feasible,
-        },
-    )
+    return tally.report("smooth-game", trials, seed, {
+        "lam": params.lam,
+        "mu": params.mu,
+        "minimal": {"lam": best[0], "mu": best[1], "score": best[0] / (1.0 - best[1])}
+        if best
+        else None,
+        "frontier": feasible,
+    })
 
 
 def check_converse_jensen(
@@ -383,10 +366,8 @@ def check_converse_jensen(
     if sequences is not None:
         trials = len(sequences)
 
-    worst_jensen = math.inf
     min_factor = 1.0
-    witness: dict = {}
-    violations = 0
+    tally = _Tally(tol)
     for t in range(trials):
         if sequences is not None:
             steps = np.asarray(sequences[t], dtype=float)
@@ -403,26 +384,16 @@ def check_converse_jensen(
             prev = prev + steps[s]
         rise = approx.value(prev) - approx.value(np.zeros(dim))
         scale_tol = tol * max(1.0, abs(rise))
-        jensen_margin = rise - grad_sum
-        if jensen_margin < -scale_tol:
-            violations += 1
-        if jensen_margin < worst_jensen:
-            worst_jensen = float(jensen_margin)
-            witness = {"rise": rise, "grad_sum": grad_sum, "trial": t}
+        tally.add(rise - grad_sum, scale_tol,
+                  lambda: {"rise": rise, "grad_sum": grad_sum, "trial": t})
         if grad_sum > 0:
             min_factor = max(min_factor, (rise - scale_tol) / grad_sum)
-        if rise > factor_bound * grad_sum + scale_tol:
-            violations += 1
-    return CheckReport(
-        name="converse-jensen",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst_jensen,
-        witness=witness,
+        if rise > factor_bound * grad_sum + scale_tol:  # counted, but not a margin
+            tally.violations += 1
+    return tally.report(
+        "converse-jensen", trials, seed,
+        {"minimal_factor": min_factor, "factor_bound": factor_bound, "step_cap": step_cap},
         tolerance=tol,
-        passed=violations == 0,
-        seed=seed,
-        extra={"minimal_factor": min_factor, "factor_bound": factor_bound, "step_cap": step_cap},
     )
 
 
@@ -435,9 +406,7 @@ def check_structure(
 ) -> CheckReport:
     """Monotonicity, midpoint convexity and subadditivity on random probes."""
     dim = approx.dim
-    worst = math.inf
-    witness: dict = {}
-    violations = 0
+    tally = _Tally(abs_tol)
     for t in range(trials):
         rng = derive_rng(seed, "structure", t)
         x = _sample_point(rng, dim, approx.meta.epsilon)
@@ -450,18 +419,5 @@ def check_structure(
             "subadditive": vx + vy - approx.value(x + y),
         }
         for kind, margin in checks.items():
-            if margin < -scale_tol:
-                violations += 1
-            if margin < worst:
-                worst = float(margin)
-                witness = {"x": x, "y": y, "kind": kind, "trial": t}
-    return CheckReport(
-        name="structure",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        witness=witness,
-        tolerance=abs_tol,
-        passed=violations == 0,
-        seed=seed,
-    )
+            tally.add(margin, scale_tol, lambda: {"x": x, "y": y, "kind": kind, "trial": t})
+    return tally.report("structure", trials, seed, tolerance=abs_tol)
