@@ -1,13 +1,13 @@
 """Adversarial bandits with vector costs and with knapsack budgets.
 
-Both algorithms run an importance-weighted exponential-weights learner
-(EXP3) over scalarized per-round feedback.  The vector-cost problem feeds
-losses that linearize the surrogate of the accumulated cost through its
-gradient, normalized by a per-round upper bound so they land in [0, 1].
-The knapsack variant mixes reward and scaled gradient-cost into a single
-gain, and enforces the budget as a hard constraint: once the norm of the
-accumulated cost gets within one worst-case step of the budget, only the
-null action is played.
+Both problems run one round loop: an importance-weighted exponential-weights
+learner (EXP3) over scalarized per-round feedback.  The vector-cost problem
+feeds losses that linearize the surrogate of the accumulated cost through its
+gradient, normalized by a per-round upper bound so they land in [0, 1].  The
+knapsack variant mixes reward and scaled gradient-cost into one gain and keeps
+the budget as a hard constraint: play stops once ||loads|| + ||1|| > B (for a
+monotone norm, one step of cost in [0, 1]^d adds at most ||1||), and only the
+null action is played after that.
 
 Offline benchmarks optimize a fixed mixture over actions: a simplex grid
 cross-checked against projected (sub/super)gradient descent, so reported
@@ -184,7 +184,7 @@ def _play(
     """The EXP3 round loop of both problems: each round draws an action, feeds
     ``scalarize(t, action, <grad psi(loads), column>, normalizer)`` to the learner
     and adds the column to the loads.  With a ``budget``, play stops at the first
-    round where ``||loads|| + d > budget``, and every later round plays the null
+    round where ``||loads|| + ||1|| > budget``, and every later round plays the null
     action with probability 1 and a NaN loss.
     """
     if psi.dim != instance.d:
@@ -202,7 +202,7 @@ def _play(
     total_reward = 0.0
     stopped_at = T
     for t in range(T):
-        if budget is not None and eval_norm(instance.norm, loads) + instance.d > budget:
+        if budget is not None and eval_norm(instance.norm, loads) + ones_norm > budget:
             stopped_at = t
             actions[t:] = instance.null_action
             probs[t:] = 1.0

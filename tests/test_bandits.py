@@ -163,21 +163,23 @@ def assert_traces_equal(a, b):
     assert (a.final_norm, a.total_reward, a.stopped_at) == (b.final_norm, b.total_reward, b.stopped_at)
 
 
-def reference_run(instance, psi, seed, opt_bwk=None):
+def reference_run(instance, psi, seed, opt_bwk=None, stop_step=None):
     """The bandit loop as first written: separate gradient and value calls, two
     surrogate values per round normalizer, and rng.choice for the draw.
 
-    Returns the actions, probabilities and losses of the rounds played, and
-    the final loads.
+    A knapsack run stops when ||loads|| + stop_step > B, with stop_step = ||1||
+    by default.  Returns the actions, probabilities and losses of the rounds
+    played, and the final loads.
     """
     meta = psi.meta
     ones_norm = eval_norm(instance.norm, np.ones(instance.d))
+    stop_step = ones_norm if stop_step is None else stop_step
     state = Exp3State.fresh(instance.n, instance.T)
     rng = derive_rng(seed, "bvc" if opt_bwk is None else "bwk")
     loads = np.zeros(instance.d)
     actions, probs, losses = [], [], []
     for t in range(instance.T):
-        if opt_bwk is not None and eval_norm(instance.norm, loads) + instance.d > instance.budget:
+        if opt_bwk is not None and eval_norm(instance.norm, loads) + stop_step > instance.budget:
             break
         grad = psi.gradient(loads)
         chord = psi.value(loads + 1.0) - psi.value(loads)
@@ -358,6 +360,53 @@ class TestBwkRun:
                               rewards=np.zeros((T, 2)), budget=5.0)
         with pytest.raises(ValueError):
             bwk_run(inst, build_approx("softmax", 2, 1.0), opt_bwk=1.0)
+
+    def random_instance(self, norm, T=300, budget_steps=40.0):
+        rng = np.random.default_rng(40)
+        d = norm.dim
+        rewards = rng.uniform(0, 1, (T, 3))
+        costs = rng.uniform(0, 1, (T, d, 3))
+        rewards[:, 2] = 0.0
+        costs[:, :, 2] = 0.0
+        spec = normalize_spec(norm)
+        budget = budget_steps * eval_norm(spec, np.ones(d))
+        return BanditInstance(n=3, d=d, T=T, costs=costs, norm=spec, rewards=rewards,
+                              budget=budget, null_action=2)
+
+    @pytest.mark.parametrize("norm", [linf(8), topk(8, 3), lp(8, 2.0), l1(8)])
+    def test_stops_one_all_ones_step_before_the_budget(self, norm):
+        """At the stop, ||loads|| + ||1|| > B; one round earlier it was <= B; the final cost fits."""
+        inst = self.random_instance(norm)
+        ones = eval_norm(inst.norm, np.ones(inst.d))
+        trace = bwk_run(inst, build_approx("softmax", inst.d, 0.1), opt_bwk=50.0, seed=41)
+        stop = trace.stopped_at
+        assert 0 < stop < inst.T
+        final = eval_norm(inst.norm, trace.final_cost)
+        assert final + ones > inst.budget
+        assert final <= inst.budget
+        loads = np.zeros(inst.d)
+        for t in range(stop - 1):
+            loads += inst.costs[t, :, trace.actions[t]]
+        assert eval_norm(inst.norm, loads) + ones <= inst.budget
+
+    @pytest.mark.parametrize("norm", [linf(8), topk(8, 3)])
+    def test_rounds_before_the_old_stop_are_unchanged(self, norm):
+        """The old rule stopped at ||loads|| + d > B; the rounds it played are played the
+        same, and play goes on past its stop, so the reward can only rise."""
+        inst = self.random_instance(norm)
+        psi = build_approx("softmax", inst.d, 0.1)
+        trace = bwk_run(inst, psi, opt_bwk=50.0, seed=41)
+        actions, probs, losses, _ = reference_run(inst, psi, seed=41, opt_bwk=50.0,
+                                                  stop_step=float(inst.d))
+        old_stop = len(actions)
+        assert old_stop < trace.stopped_at
+        np.testing.assert_array_equal(trace.actions[:old_stop], actions)
+        np.testing.assert_array_equal(trace.probs[:old_stop], probs)
+        np.testing.assert_array_equal(trace.losses[:old_stop], losses)
+        old_reward = 0.0
+        for t, a in enumerate(actions):
+            old_reward += float(inst.rewards[t, a])
+        assert trace.total_reward >= old_reward
 
     def test_zero_rewards_zero_total(self):
         T = 50

@@ -42,6 +42,9 @@ COMMANDS = [
     ("gen-bwk-small", ["gen", "--problem", "bwk", "--n", "3", "--d", "4", "--T", "60",
                        "--budget", "30", "--norm", "topk:2", "--seed", "6",
                        "--out", "bwk-small.jsonl"], None),
+    ("gen-bwk-linf", ["gen", "--problem", "bwk", "--n", "3", "--d", "8", "--T", "400",
+                      "--budget", "100", "--norm", "linf", "--seed", "7",
+                      "--out", "bwk-linf.jsonl"], None),
     ("gen-bad-family", ["gen", "--problem", "lb", "--family", "diagonal", "--m", "3", "--k", "2",
                         "--out", "x.jsonl"], None),
     *[(f"verify-{check}", ["verify", *VERIFY, "--check", check, "--out", f"{check}.json"], None)
@@ -85,6 +88,8 @@ COMMANDS = [
     ("bwk-run-opt", ["bwk", "run", "--instance", "bwk.jsonl", "--samples", "300", "--opt", "60",
                      "--max-ratio", "0.5", "--out", "bwk-opt.csv"], None),
     ("bwk-run-small-budget", ["bwk", "run", "--instance", "bwk-small.jsonl"], None),
+    ("bwk-run-linf", ["bwk", "run", "--instance", "bwk-linf.jsonl", "--seeds", "2",
+                      "--out", "bwk-linf.csv"], None),
     ("bench-bvc", ["bench", "bvc", "--instance", "bvc.jsonl", "--out", "bench-bvc.json"], None),
     ("bench-bwk", ["bench", "bwk", "--instance", "bwk.jsonl"], None),
     ("usage-no-command", [], None),
