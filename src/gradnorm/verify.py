@@ -219,8 +219,8 @@ def check_gradient_stability(
 
     tally = _Tally(abs_tol)
     for t, (bad, margin_min, tol_min, i, x, y, coeff) in enumerate(results):
-        tally.add(margin_min, tol_min, lambda: {"x": x, "y": y, "coordinate": i, "coeff": coeff,
-                                                "trial": t}, violated=bad)
+        tally.add(margin_min, tol_min, violated=bad,
+                  witness=lambda: {"x": x, "y": y, "coordinate": i, "coeff": coeff, "trial": t})
     return tally.report("gradient-stability", trials, seed,
                         {"delta": dlt, "stability_epsilon": eps_stab, "y_cap": y_cap})
 
