@@ -361,17 +361,17 @@ class TestBwkRun:
         with pytest.raises(ValueError):
             bwk_run(inst, build_approx("softmax", 2, 1.0), opt_bwk=1.0)
 
-    def random_instance(self, norm, T=300, budget_steps=40.0):
+    def random_instance(self, norm):
+        """300 rounds, two random arms and a null arm, a budget of 40 all-ones steps."""
         rng = np.random.default_rng(40)
-        d = norm.dim
+        T, d = 300, norm.dim
         rewards = rng.uniform(0, 1, (T, 3))
         costs = rng.uniform(0, 1, (T, d, 3))
         rewards[:, 2] = 0.0
         costs[:, :, 2] = 0.0
         spec = normalize_spec(norm)
-        budget = budget_steps * eval_norm(spec, np.ones(d))
         return BanditInstance(n=3, d=d, T=T, costs=costs, norm=spec, rewards=rewards,
-                              budget=budget, null_action=2)
+                              budget=40.0 * eval_norm(spec, np.ones(d)), null_action=2)
 
     @pytest.mark.parametrize("norm", [linf(8), topk(8, 3), lp(8, 2.0), l1(8)])
     def test_stops_one_all_ones_step_before_the_budget(self, norm):
