@@ -375,7 +375,7 @@ class TestBwkRun:
 
     @pytest.mark.parametrize("norm", [linf(8), topk(8, 3), lp(8, 2.0), l1(8)])
     def test_stops_one_all_ones_step_before_the_budget(self, norm):
-        """At the stop, ||loads|| + ||1|| > B; one round earlier it was <= B; the final cost fits."""
+        """At the stop ||loads|| + ||1|| > B, a round earlier not, and the final cost fits."""
         inst = self.random_instance(norm)
         ones = eval_norm(inst.norm, np.ones(inst.d))
         trace = bwk_run(inst, build_approx("softmax", inst.d, 0.1), opt_bwk=50.0, seed=41)
