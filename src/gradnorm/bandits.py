@@ -9,11 +9,12 @@ the budget as a hard constraint: play stops once ||loads|| + ||1|| > B (for a
 monotone norm, one step of cost in [0, 1]^d adds at most ||1||), and only the
 null action is played after that.
 
-Offline benchmarks optimize a fixed mixture over actions: a simplex grid
-cross-checked against projected (sub/super)gradient descent, so reported
-values are certified by feasible points.  The grid is streamed one block at
-a time and each block is scored as it comes, keeping the first best point,
-so no benchmark holds the whole grid.
+Offline benchmarks optimize a fixed mixture over actions, the benchmark the
+regret bounds are stated against.  One central-cut ellipsoid loop solves both
+over the capped simplex, cutting with exact subgradients from
+``norms.norm_subgradient``.  Each returns a feasible mixture, its value and
+a bound on the optimum on the other side, closed to a relative 1e-9 unless
+the cut cap derived from n runs out first.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .approx.base import GradStableApprox
-from .norms import NormSpec, eval_norm, eval_norm_rows, format_norm_spec, normalize_spec, parse_norm_spec
+from .norms import NormSpec, eval_norm, format_norm_spec, norm_subgradient, normalize_spec, parse_norm_spec
 from .seeding import derive_rng
 
 __all__ = [
@@ -59,6 +59,7 @@ class BanditInstance:
     null_action: int | None = None
 
     def __post_init__(self):
+        self.check_sizes(self.n, self.d, self.T)
         if self.costs.shape != (self.T, self.d, self.n):
             raise ValueError(f"costs must be (T={self.T}, d={self.d}, n={self.n})")
         if not (self.costs >= 0).all() or not (self.costs <= 1).all():  # NaN fails too
@@ -78,6 +79,13 @@ class BanditInstance:
                 raise ValueError("null action must have zero cost")
             if self.rewards is not None and self.rewards[:, a].any():
                 raise ValueError("null action must have zero reward")
+
+    @staticmethod
+    def check_sizes(n, d, T) -> None:
+        """Raise ValueError unless n, d and T are integers >= 1."""
+        for name, size in (("n", n), ("d", d), ("T", T)):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
 
     @property
     def total_costs(self) -> np.ndarray:
@@ -278,6 +286,8 @@ def bwk_run(
 
 # --- offline fixed-mixture benchmarks -----------------------------------------
 
+_BRACKET_TOL = 1e-9  # relative width of a closed benchmark bracket
+
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
@@ -287,116 +297,93 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - cum[rho], 0.0)
 
 
-def _project_capped_simplex(y: np.ndarray) -> np.ndarray:
-    """Projection onto {x >= 0, sum x <= 1}."""
-    x = np.maximum(y, 0.0)
-    return x if x.sum() <= 1.0 else project_simplex(y)
+def _merge_columns(M: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Sorted indices of one column per distinct column of M, the first in
+    ``order``: identical columns are one action to a fixed mixture."""
+    return np.sort(order[np.unique(M.T[order], axis=0, return_index=True)[1]])
 
 
-def _grid_points(n: int, resolution: int) -> Iterator[np.ndarray]:
-    """Integer-composition grid on the unit simplex, exact and duplicate-free,
-    yielded as one block of rows per value of the first part.
+def _ellipsoid(
+    m: int,
+    oracle: Callable[[np.ndarray], tuple[float | None, np.ndarray]],
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, float]:
+    """Central-cut ellipsoid minimization over K = {z in R^m : z >= 0, sum z <= 1}.
 
-    Rows are the compositions of ``resolution`` into n nonnegative parts in
-    lexicographic order, divided by ``resolution``.  After a head value h,
-    the other n - 1 parts are the gaps between 0, n - 2 nondecreasing cut
-    points in [0, rest] (rest = resolution - h) and rest.
-    ``combinations_with_replacement`` yields the cut points in lexicographic
-    order, and lexicographic cut points give lexicographic gaps.  A block has
-    at most comb(resolution + n - 2, n - 2) rows.
+    At a centre z in K, ``oracle(z)`` returns the objective and a subgradient
+    g at a feasible z, or ``None`` and a g with g . (z* - z) <= 0 at every
+    feasible z*.  The ellipsoid {c + J w : |w| <= 1} keeps every optimum, so
+    the last feasible (value, g, z), or the feasible ``start``, bounds the
+    optimum from below by value + g . (c - z) - |J'g|.  Returns the best
+    feasible point, its value and that bound, once they are within
+    ``_BRACKET_TOL`` relative or after enough cuts to shrink the volume by
+    ``_BRACKET_TOL ** (m + 2)``.
     """
-    if n == 1:
-        yield np.ones((1, 1))
-        return
-    for head in range(resolution + 1):
-        rest = resolution - head
-        rows = math.comb(rest + n - 2, n - 2)
-        block = np.empty((rows, n))
-        block[:, 0] = head
-        if n == 2:
-            block[:, 1] = rest
-        else:
-            cuts = np.fromiter(
-                chain.from_iterable(combinations_with_replacement(range(rest + 1), n - 2)),
-                dtype=np.int64,
-                count=rows * (n - 2),
-            ).reshape(rows, n - 2)
-            block[:, 1] = cuts[:, 0]
-            np.subtract(cuts[:, 1:], cuts[:, :-1], out=block[:, 2:-1])
-            np.subtract(rest, cuts[:, -1], out=block[:, -1])
-        block /= resolution
-        yield block
-
-
-def _subgradient_minimize(
-    f: Callable[[np.ndarray], float],
-    n: int,
-    project: Callable[[np.ndarray], np.ndarray] = project_simplex,
-    sign: float = 1.0,
-) -> np.ndarray:
-    """Projected subgradient descent (ascent for sign=-1) with c/sqrt(t) steps, 500 of them."""
-    x = project(np.full(n, 1.0 / n))
-    best_x, best_v = x.copy(), f(x)
-    verts = [f(project(np.eye(n)[j])) for j in range(n)]
-    step0 = max(max(abs(v) for v in verts), 1.0)
-    h = 1e-6
-    for it in range(1, 501):
-        g = np.zeros(n)
-        fx = f(x)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            g[j] = (f(x + e) - fx) / h
-        gn = np.linalg.norm(g)
-        if gn < 1e-14:
+    c, J = np.full(m, 1.0 / (m + 1)), np.eye(m)  # the unit ball around c holds K
+    grow = m / math.sqrt(m * m - 1.0) if m > 1 else 0.5
+    squash = 1.0 - math.sqrt((m - 1.0) / (m + 1.0)) if m > 1 else 0.0
+    best, best_z, cut, lower = math.inf, None, None, -math.inf
+    if start is not None:
+        best, g = oracle(start)
+        best_z, cut = start, (best, g, start)
+    for _ in range(math.ceil(2 * (m + 1) * (m + 2) * math.log(1.0 / _BRACKET_TOL))):
+        g = float(c.sum() > 1.0) - (c < 0.0)  # normals of the sides of K that c violates
+        if not g.any():
+            value, g = oracle(c)
+            if value is not None:
+                if value < best:
+                    best, best_z = value, c
+                cut = (value, g, c)
+        if cut is not None:
+            value, h, z = cut
+            lower = max(lower, value + float(h @ (c - z)) - float(np.linalg.norm(J.T @ h)))
+            if best - lower <= _BRACKET_TOL * max(1.0, abs(best)):
+                break
+        Jg = J.T @ g
+        width = float(np.linalg.norm(Jg))
+        if not width > 0.0:  # the ellipsoid is flat along g
             break
-        x = project(x - sign * (step0 / (gn * math.sqrt(it))) * 0.5 * g)
-        v = f(x)
-        if sign * v < sign * best_v:
-            best_x, best_v = x.copy(), v
-        if it % 50 == 0:
-            x = 0.5 * (x + best_x)  # mild restart toward the incumbent
-    return best_x
+        p = Jg / width
+        Jp = J @ p
+        c = c - Jp / (m + 1)
+        J = grow * (J - squash * np.outer(Jp, p))
+    return best_z, best, lower
 
 
-def benchmark_fixed_bvc(instance: BanditInstance) -> tuple[np.ndarray, float]:
+def benchmark_fixed_bvc(instance: BanditInstance) -> tuple[np.ndarray, float, float]:
     """Best fixed action mixture for vector costs: min ||sum_t C_t x|| on the simplex.
 
-    Grid search at resolution 1/200 for n <= 4, projected subgradient descent
-    otherwise; when both run, the better point wins.  The grid is scored one
-    block at a time and its first minimum is kept.  The returned value is
-    exact for the returned mixture.
+    Returns x, ``value = ||M x||`` and a certified ``bound`` <= the optimum.
+    The ellipsoid runs on y, with x = (y, 1 - sum y) over the distinct
+    columns, and cuts with M'u for the norm's dual maximizer u at M x.
     """
     M = instance.total_costs
     spec = instance.norm
+    keep = _merge_columns(M, np.arange(instance.n))
+    head, last = keep[:-1], keep[-1]
 
-    def f(x: np.ndarray) -> float:
-        return eval_norm(spec, M @ x)
+    def embed(y: np.ndarray) -> np.ndarray:
+        x = np.zeros(instance.n)
+        x[head] = y
+        x[last] = 1.0 - y.sum()
+        return x
 
-    candidates = [np.eye(instance.n)[0]]
-    if instance.n <= 4:
-        best_v, best_x = math.inf, None
-        for block in _grid_points(instance.n, 200):
-            vals = eval_norm_rows(spec, block @ M.T)
-            j = int(np.argmin(vals))
-            if vals[j] < best_v:
-                best_v, best_x = vals[j], block[j]
-        candidates.append(best_x)
-    if instance.n > 1:
-        candidates.append(_subgradient_minimize(f, instance.n))
-    best = min(candidates, key=f)
-    return best, f(best)
+    def oracle(y: np.ndarray) -> tuple[float, np.ndarray]:
+        v = M @ embed(y)
+        g = M.T @ norm_subgradient(spec, v)
+        return eval_norm(spec, v), g[head] - g[last]
+
+    y, value, bound = _ellipsoid(len(head), oracle)
+    return embed(y), value, bound
 
 
-def benchmark_fixed_bwk(instance: BanditInstance) -> tuple[np.ndarray, float]:
-    """Best fixed mixture for knapsacks: max sum_t <r_t, x> s.t. ||sum_t C_t x|| <= B.
+def benchmark_fixed_bwk(instance: BanditInstance) -> tuple[np.ndarray, float, float]:
+    """Best fixed mixture for knapsacks: max sum_t <r_t, x> s.t. ||sum_t C_t x|| <= B
+    over x >= 0, sum x <= 1.
 
-    Solved by bisection on a Lagrangian penalty around projected supergradient
-    ascent, cross-checked for small n by a grid scored one block at a time,
-    keeping its first feasible maximum.  Infeasible iterates are
-    scaled back onto the budget surface (the constraint is homogeneous in x),
-    so every candidate is feasible and the reported value is a certified
-    lower bound on the optimum.
+    Returns a feasible x, ``value = <R, x>`` and a certified ``bound`` >= the
+    optimum.  Over the distinct columns that can help, the ellipsoid cuts
+    with M'u at centres over budget and with R at feasible ones.
     """
     if instance.rewards is None:
         raise ValueError("knapsack benchmark needs rewards")
@@ -406,47 +393,26 @@ def benchmark_fixed_bwk(instance: BanditInstance) -> tuple[np.ndarray, float]:
     R = instance.total_rewards
     B = float(instance.budget)
     spec = instance.norm
-    n = instance.n
+    keep = _merge_columns(M, np.argsort(-R, kind="stable"))  # the best-paid of each
+    keep = keep[R[keep] > 0.0]  # a column without reward only adds cost
+    if B == 0.0:  # no interior: only a zero-cost column can carry weight
+        keep = keep[~M[:, keep].any(axis=0)]
 
-    def cost(x: np.ndarray) -> float:
-        return eval_norm(spec, M @ x)
+    def embed(z: np.ndarray) -> np.ndarray:
+        x = np.zeros(instance.n)
+        x[keep] = z
+        return x
 
-    def feasible(x: np.ndarray) -> np.ndarray:
-        c = cost(x)
-        return x if c <= B else x * (B / c if c > 0 else 0.0)
+    def oracle(z: np.ndarray) -> tuple[float | None, np.ndarray]:
+        x = embed(z)
+        v = M @ x
+        if eval_norm(spec, v) > B:
+            return None, (M.T @ norm_subgradient(spec, v))[keep]
+        return -float(R @ x), -R[keep]
 
-    candidates = [np.zeros(n)]
-    if n <= 4:
-        resolution = 200 if n <= 3 else 100
-        best_r, best_x = -math.inf, None
-        for block in _grid_points(n + 1, resolution):  # a slack coordinate allows sum < 1
-            feasible_rows = block[eval_norm_rows(spec, block[:, :n] @ M.T) <= B + 1e-12, :n]
-            if len(feasible_rows):
-                rewards = feasible_rows @ R
-                j = int(np.argmax(rewards))
-                if rewards[j] > best_r:
-                    best_r, best_x = rewards[j], feasible_rows[j]
-        candidates.append(best_x)  # x = 0, the slack vertex, is always feasible
-    lo, hi = 0.0, max(float(R.max()), 1.0)
-    for _ in range(12):  # make sure the penalty cap actually binds the constraint
-        x_hi = _subgradient_minimize(
-            lambda x: float(R @ x) - hi * cost(x), n, project=_project_capped_simplex, sign=-1.0
-        )
-        if cost(x_hi) <= B + 1e-9:
-            break
-        hi *= 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        x_mid = _subgradient_minimize(
-            lambda x: float(R @ x) - mid * cost(x), n, project=_project_capped_simplex, sign=-1.0
-        )
-        candidates.append(feasible(x_mid))
-        if cost(x_mid) > B:
-            lo = mid
-        else:
-            hi = mid
-    best = max(candidates, key=lambda x: float(R @ x))
-    return best, float(R @ best)
+    z, _, lower = _ellipsoid(len(keep), oracle, start=np.zeros(len(keep)))
+    x = embed(z)
+    return x, float(R @ x), 0.0 - lower  # 0.0 - keeps a zero bound from printing as -0
 
 
 # --- instance files (JSON lines) ----------------------------------------------
@@ -481,6 +447,7 @@ def read_bandit_instance(path: str) -> BanditInstance:
             raise ValueError(f"empty instance file {path}")
         header = json.loads(first)
         n, d, T = header["n"], header["d"], header["T"]
+        BanditInstance.check_sizes(n, d, T)
         costs = np.empty((T, d, n))
         rewards = None
         rows = 0

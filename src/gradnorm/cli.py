@@ -173,11 +173,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "bench":
         instance = bd.read_bandit_instance(cfg["instance"])
         if args.kind == "bvc":
-            x, value = bd.benchmark_fixed_bvc(instance)
+            x, value, bound = bd.benchmark_fixed_bvc(instance)
         else:
-            x, value = bd.benchmark_fixed_bwk(instance)
-        harness.dump_json(cfg.get("out"), {"x": x.tolist(), "value": value})
-        print(f"bench {args.kind} value={value:g}")
+            x, value, bound = bd.benchmark_fixed_bwk(instance)
+        harness.dump_json(cfg.get("out"), {"x": x.tolist(), "value": value, "bound": bound})
+        print(f"bench {args.kind} value={value:g} bound={bound:g}")
         return 0
 
     if cmd == "gen":

@@ -292,10 +292,10 @@ def run_experiment(config: dict) -> dict:
         instance = bd.read_bandit_instance(config["instance"])
         builder = _approx_builder(config, instance, "softmax" if instance.norm.kind == "linf" else "sym")
         if problem == "bvc":
-            _, bench = bd.benchmark_fixed_bvc(instance)
+            _, bench, _ = bd.benchmark_fixed_bvc(instance)
             eps = float(_get(config, "epsilon", 1.0 / max(bench, 1.0)))
         else:
-            _, bench = bd.benchmark_fixed_bwk(instance)
+            _, bench, _ = bd.benchmark_fixed_bwk(instance)
             opt_in = float(_get(config, "opt", bench))
             if not (opt_in > 0 and math.isfinite(opt_in)):
                 raise ValueError(f"bwk opt (the benchmark when --opt is unset) must be positive "

@@ -29,6 +29,7 @@ __all__ = [
     "oracle_sym",
     "eval_norm",
     "eval_norm_rows",
+    "norm_subgradient",
     "ones_profile",
     "normalize_spec",
     "parse_norm_spec",
@@ -37,6 +38,7 @@ __all__ = [
 
 _ORLICZ_REL_TOL = 1e-10
 _ORLICZ_MAX_DOUBLINGS = 200
+_DIFF_STEP = 5e-4  # relative central-difference step, about the cube root of _ORLICZ_REL_TOL
 
 
 class NormSpecError(ValueError):
@@ -224,6 +226,34 @@ def _eval_rows(spec: NormSpec, m: np.ndarray) -> np.ndarray:
         if (raw < 0).any():
             raise OracleError("oracle returned a negative value")
     return raw / spec.scale
+
+
+def norm_subgradient(spec: NormSpec, v) -> np.ndarray:
+    """A dual-norm maximizer: u with <u, v> = ||v|| and dual norm <= 1, so a
+    subgradient at v, with u >= 0 where v >= 0.  Closed forms for linf, lp,
+    top-k (its indicator) and ordered (the weights in sorted order); orlicz
+    and oracle norms, which have none here, take a central difference.
+    """
+    v = _as_vector(v, spec.dim)
+    a = np.abs(v)
+    u = np.zeros(spec.dim)
+    p = spec.p
+    if spec.kind in ("orlicz", "oracle"):
+        h = _DIFF_STEP * (a.max() or 1.0)
+        raw, steps = replace(spec, scale=1.0), h * np.eye(spec.dim)
+        u = (eval_norm_rows(raw, a + steps) - eval_norm_rows(raw, a - steps)) / (2.0 * h)
+    elif spec.kind == "linf" or p == math.inf:
+        u[np.argmax(a)] = 1.0
+    elif p == 1.0:
+        u[:] = 1.0
+    elif spec.kind == "lp" and a.any():
+        w = a / a.max()
+        u = (w / (w**p).sum() ** (1.0 / p)) ** (p - 1.0)
+    elif spec.kind == "topk":
+        u[np.argpartition(a, spec.dim - spec.k)[spec.dim - spec.k :]] = 1.0
+    elif spec.kind == "ordered":
+        u[np.argsort(-a, kind="stable")] = spec.weights
+    return np.where(v < 0, -u, u) / spec.scale
 
 
 @dataclass(frozen=True)

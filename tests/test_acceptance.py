@@ -459,13 +459,13 @@ def _bandit_runs():
     if _BANDIT_CACHE:
         return _BANDIT_CACHE
     bvc_inst = _bvc_instance()
-    _, bvc_bench = benchmark_fixed_bvc(bvc_inst)
+    _, bvc_bench, _ = benchmark_fixed_bvc(bvc_inst)
     psi = SoftmaxApprox(2, 1.0 / bvc_bench)
     bvc_traces = [bvc_run(bvc_inst, psi, seed=derive_seed(MASTER, "c10bvc", s))
                   for s in range(20)]
 
     bwk_inst = _bwk_instance()
-    _, opt_bwk = benchmark_fixed_bwk(bwk_inst)
+    _, opt_bwk, _ = benchmark_fixed_bwk(bwk_inst)
     psi_k = SoftmaxApprox(2, (1.0 + math.log(2)) / opt_bwk)
     bwk_traces = [
         bwk_run(bwk_inst, psi_k, opt_bwk, seed=derive_seed(MASTER, "c10bwk", s))

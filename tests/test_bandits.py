@@ -2,12 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import gradnorm.bandits as bd
 from gradnorm.approx import GradStableApprox, build_approx
 from gradnorm.bandits import (
     BanditInstance,
@@ -21,12 +22,9 @@ from gradnorm.bandits import (
     format_bandit_instance,
     project_simplex,
     read_bandit_instance,
-    _grid_points,
-    _project_capped_simplex,
-    _subgradient_minimize,
 )
 from gradnorm.harness import atomic_write_text
-from gradnorm.norms import eval_norm, eval_norm_rows, l1, linf, lp, normalize_spec, topk
+from gradnorm.norms import eval_norm, l1, linf, lp, normalize_spec, topk
 from gradnorm.seeding import derive_rng
 
 
@@ -420,253 +418,19 @@ class TestBwkRun:
         assert trace.total_reward == 0.0
 
 
-def recursive_grid_points(n, resolution):
-    """The grid as first written: lexicographic integer compositions by recursion."""
-
-    def rec(parts, total):
-        if parts == 1:
-            return np.array([[total]], dtype=np.int64)
-        blocks = []
-        for head in range(total + 1):
-            tail = rec(parts - 1, total - head)
-            block = np.empty((tail.shape[0], parts), dtype=np.int64)
-            block[:, 0] = head
-            block[:, 1:] = tail
-            blocks.append(block)
-        return np.vstack(blocks)
-
-    return rec(n, resolution) / resolution
-
-
-def whole_grid(n, resolution):
-    """Every block of the streamed grid, stacked into one array."""
-    grid = np.empty((math.comb(resolution + n - 1, n - 1), n))
-    row = 0
-    for block in _grid_points(n, resolution):
-        grid[row : row + len(block)] = block
-        row += len(block)
-    assert row == len(grid)
-    return grid
-
-
-class TestGridPoints:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("resolution", [1, 2, 3, 7, 24])
-    def test_equals_recursive_grid(self, n, resolution):
-        expected = recursive_grid_points(n, resolution)
-        grid = whole_grid(n, resolution)
-        assert grid.shape == expected.shape and grid.dtype == expected.dtype
-        assert (grid == expected).all()
-
-    def test_equals_recursive_grid_at_benchmark_size(self):
-        assert (whole_grid(3, 200) == recursive_grid_points(3, 200)).all()
-        assert (whole_grid(4, 100) == recursive_grid_points(4, 100)).all()
-
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_one_block_per_head(self, n):
-        blocks = list(_grid_points(n, 24))
-        assert len(blocks) == 25
-        for head, block in enumerate(blocks):
-            assert (block[:, 0] == head / 24).all()
-            assert len(block) == math.comb(24 - head + n - 2, n - 2)
-
-
-def full_batch_benchmark_fixed_bvc(instance):
-    """benchmark_fixed_bvc with the whole grid scored in one batch."""
-    M = instance.total_costs
-    f = lambda x: eval_norm(instance.norm, M @ x)
-    candidates = [np.eye(instance.n)[0]]
-    if instance.n <= 4:
-        grid = whole_grid(instance.n, 200)
-        candidates.append(grid[int(np.argmin(eval_norm_rows(instance.norm, grid @ M.T)))])
-    if instance.n > 1:
-        candidates.append(bd._subgradient_minimize(f, instance.n))
-    best = min(candidates, key=f)
-    return best, f(best)
-
-
-def full_batch_benchmark_fixed_bwk(instance):
-    """benchmark_fixed_bwk with the whole grid scored in one batch."""
-    M, R, B = instance.total_costs, instance.total_rewards, instance.budget
-    spec, n = instance.norm, instance.n
-    cost = lambda x: eval_norm(spec, M @ x)
-    feasible = lambda x: x if cost(x) <= B else x * (B / cost(x) if cost(x) > 0 else 0.0)
-    candidates = [np.zeros(n)]
-    if n <= 4:
-        grid = whole_grid(n + 1, 200 if n <= 3 else 100)[:, :n]
-        ok = eval_norm_rows(spec, grid @ M.T) <= B + 1e-12
-        if ok.any():
-            candidates.append(grid[ok][int(np.argmax(grid[ok] @ R))])
-    lo, hi = 0.0, max(float(R.max()), 1.0)
-    for _ in range(12):
-        x_hi = bd._subgradient_minimize(
-            lambda x: float(R @ x) - hi * cost(x), n, project=_project_capped_simplex, sign=-1.0
-        )
-        if cost(x_hi) <= B + 1e-9:
-            break
-        hi *= 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        x_mid = bd._subgradient_minimize(
-            lambda x: float(R @ x) - mid * cost(x), n, project=_project_capped_simplex, sign=-1.0
-        )
-        candidates.append(feasible(x_mid))
-        if cost(x_mid) > B:
-            lo = mid
-        else:
-            hi = mid
-    best = max(candidates, key=lambda x: float(R @ x))
-    return best, float(R @ best)
-
-
 def bwk_instance(costs, rewards, budget, norm=None):
     T, d, n = costs.shape
     return BanditInstance(n=n, d=d, T=T, costs=costs, norm=norm or normalize_spec(linf(d)),
                           rewards=rewards, budget=budget)
 
 
-def blocks_attaining(values_per_block, best):
-    return sum(1 for v in values_per_block if (v == best).any())
-
-
-@pytest.fixture
-def descent_never_wins(monkeypatch):
-    """Descent that returns e_0 (bvc) or 0 (bwk): points that the grid beats or
-    ties, so the returned mixture is the grid's choice."""
-    monkeypatch.setattr(bd, "_subgradient_minimize",
-                        lambda f, n, **kw: np.zeros(n) if "project" in kw else np.eye(n)[0])
-
-
-class TestChunkedGrid:
-    """The grid is streamed and scored one block at a time; the point and
-    value stay those of one batch over the whole grid, ties included."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("norm", ["linf", "topk", "lp"])
-    def test_equals_full_batch(self, n, norm):
-        d = 8
-        spec = {"linf": linf(d), "topk": topk(d, 3), "lp": lp(d, 2.5)}[norm]
-        rng = np.random.default_rng(90 + n)
-        for costs in (rng.uniform(0, 1, (30, d, n)), rng.integers(0, 2, (30, d, n)).astype(float)):
-            inst = bvc_instance(costs, normalize_spec(spec))
-            x, value = benchmark_fixed_bvc(inst)
-            want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
-            assert (x == want_x).all() and value == want_value
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_bvc_grid_point_equals_full_batch(self, n, descent_never_wins):
-        rng = np.random.default_rng(100 + n)
-        for norm in (linf(4), lp(4, 3.0)):
-            costs = rng.uniform(0, 0.5, (20, 4, n))
-            costs[:, :, 0] = 1.0  # e_0 costs most: the grid point is returned
-            inst = bvc_instance(costs, normalize_spec(norm))
-            x, value = benchmark_fixed_bvc(inst)
-            want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
-            assert (x == want_x).all() and value == want_value
-            assert n == 1 or value < eval_norm(inst.norm, inst.total_costs[:, 0])
-
-    def test_bvc_tie_across_blocks_keeps_the_first(self, descent_never_wins):
-        """||(x0 + x1, x2)||_inf is least at x2 = 1/2, in the blocks of every
-        head x0 <= 1/2: the first such row, (0, 1/2, 1/2), is returned."""
-        costs = np.array([[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
-        inst = bvc_instance(costs)
-        x, value = benchmark_fixed_bvc(inst)
-        assert (x == [0.0, 0.5, 0.5]).all() and value == 0.5
-        want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
-        assert (x == want_x).all() and value == want_value
-        M = inst.total_costs
-        per_block = [eval_norm_rows(inst.norm, b @ M.T) for b in _grid_points(3, 200)]
-        assert blocks_attaining(per_block, value) > 1
-
-    def test_bvc_tie_within_a_block_keeps_the_first(self, descent_never_wins):
-        """||x0||: every row of the head-0 block is a minimum; its first row,
-        (0, 0, 1), is returned."""
-        inst = bvc_instance(np.array([[[1.0, 0.0, 0.0]]]))
-        x, value = benchmark_fixed_bvc(inst)
-        assert (x == [0.0, 0.0, 1.0]).all() and value == 0.0
-        want_x, want_value = full_batch_benchmark_fixed_bvc(inst)
-        assert (x == want_x).all() and value == want_value
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_bwk_equals_full_batch(self, n, descent_never_wins):
-        rng = np.random.default_rng(110 + n)
-        d = 1 if n == 4 else 3  # keeps the one-batch copy of the n = 4 grid small
-        for norm in (linf(d), lp(d, 2.0)):
-            costs = rng.uniform(0, 1, (20, d, n))
-            inst = bwk_instance(costs, rng.uniform(0, 1, (20, n)), 5.0, normalize_spec(norm))
-            x, value = benchmark_fixed_bwk(inst)
-            want_x, want_value = full_batch_benchmark_fixed_bwk(inst)
-            assert (x == want_x).all() and value == want_value
-            assert value > 0.0  # the grid point, not the zero mixture
-
-    def test_bwk_tie_across_blocks_keeps_the_first(self, descent_never_wins):
-        """Reward x0 + x1 under the budget x0 + x1 <= 1/2: every head block up
-        to 1/2 holds a best row; the first of them is returned."""
-        costs = np.ones((2, 1, 2))
-        inst = bwk_instance(costs, np.full((2, 2), 0.5), 1.0)
-        x, value = benchmark_fixed_bwk(inst)
-        want_x, want_value = full_batch_benchmark_fixed_bwk(inst)
-        assert (x == want_x).all() and value == want_value
-        assert value == pytest.approx(0.5)
-        M, R = inst.total_costs, inst.total_rewards
-        per_block = [np.where(eval_norm_rows(inst.norm, b[:, :2] @ M.T) <= 1.0 + 1e-12,
-                              b[:, :2] @ R, -np.inf) for b in _grid_points(3, 200)]
-        assert blocks_attaining(per_block, value) > 1
-
-    def test_bwk_tie_within_a_block_keeps_the_first(self, descent_never_wins):
-        """Reward x0 under the budget x0 <= 1/2: every row of the head-1/2
-        block is a best row; its first, x = (1/2, 0), is returned."""
-        inst = bwk_instance(np.array([[[1.0, 0.0]]]), np.array([[1.0, 0.0]]), 0.5)
-        x, value = benchmark_fixed_bwk(inst)
-        assert (x == [0.5, 0.0]).all() and value == 0.5
-        want_x, want_value = full_batch_benchmark_fixed_bwk(inst)
-        assert (x == want_x).all() and value == want_value
-
-    def test_bwk_only_the_zero_mixture_is_feasible(self, descent_never_wins):
-        """With B = 0 and every arm costly, the grid's only feasible point is
-        its slack vertex x = 0 (a grid always has it)."""
-        rng = np.random.default_rng(120)
-        inst = bwk_instance(rng.uniform(0.1, 1, (10, 2, 3)), rng.uniform(0, 1, (10, 3)), 0.0)
-        x, value = benchmark_fixed_bwk(inst)
-        want_x, want_value = full_batch_benchmark_fixed_bwk(inst)
-        assert (x == want_x).all() and value == want_value
-        assert (x == 0.0).all() and value == 0.0
-
-    def test_peak_memory_bounded(self):
-        """n = 4 scores 1.37M grid points; one batch peaked at about 230 MB."""
-        rng = np.random.default_rng(96)
-        inst = bvc_instance(rng.uniform(0, 1, (20, 8, 4)))
-        tracemalloc.start()
-        try:
-            benchmark_fixed_bvc(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
-
-    def test_bwk_peak_memory_bounded(self, descent_never_wins):
-        """n = 4 scores 4.6M grid points; one batch peaked at about 630 MB.
-        The stubbed descent only keeps the traced run short: it allocates
-        n-vectors."""
-        rng = np.random.default_rng(97)
-        inst = bwk_instance(rng.uniform(0, 1, (20, 4, 4)), rng.uniform(0, 1, (20, 4)), 8.0,
-                            normalize_spec(topk(4, 2)))
-        tracemalloc.start()
-        try:
-            benchmark_fixed_bwk(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64e6
-
-
 class TestBenchmarks:
     def test_bvc_single_action(self):
         rng = np.random.default_rng(8)
         inst = bvc_instance(rng.uniform(0, 1, (20, 3, 1)))
-        x, value = benchmark_fixed_bvc(inst)
+        x, value, bound = benchmark_fixed_bvc(inst)
         np.testing.assert_allclose(x, [1.0])
-        assert value == pytest.approx(eval_norm(inst.norm, inst.total_costs[:, 0]))
+        assert value == bound == eval_norm(inst.norm, inst.total_costs[:, 0])
 
     def test_bvc_symmetric_two_arm(self):
         T = 30
@@ -674,22 +438,22 @@ class TestBenchmarks:
         costs[:, 0, 0] = 1.0
         costs[:, 1, 1] = 1.0
         inst = bvc_instance(costs)
-        x, value = benchmark_fixed_bvc(inst)
+        x, value, bound = benchmark_fixed_bvc(inst)
         e1_value = eval_norm(inst.norm, inst.total_costs[:, 0])
         assert value <= e1_value + 1e-9
-        assert value == pytest.approx(T / 2, rel=0.01)
+        assert value == pytest.approx(T / 2, rel=1e-9)
+        assert bound == pytest.approx(T / 2, rel=1e-9)
 
-    def test_bvc_grid_and_descent_agree(self):
-        rng = np.random.default_rng(9)
-        inst = bvc_instance(rng.uniform(0, 1, (20, 3, 3)))
-        M = inst.total_costs
-        f = lambda x: eval_norm(inst.norm, M @ x)
-        grid = whole_grid(3, 200)
-        grid_best = min(f(g) for g in grid[np.random.default_rng(0).choice(len(grid), 4000)])
-        grid_best = min(grid_best, float(min(f(g) for g in grid[::7])))
-        pgd = f(_subgradient_minimize(f, 3))
-        full_grid = min(f(g) for g in grid[:: max(1, len(grid) // 20000)])
-        assert abs(pgd - full_grid) <= 0.01 * max(full_grid, 1e-9)
+    def test_bvc_identical_columns_merge(self):
+        """Duplicate columns are one action: the mixture and value do not
+        depend on how many copies an instance carries."""
+        rng = np.random.default_rng(13)
+        costs = rng.uniform(0, 1, (20, 3, 2))
+        x, value, _ = benchmark_fixed_bvc(bvc_instance(costs))
+        x3, value3, bound3 = benchmark_fixed_bvc(bvc_instance(costs[:, :, [0, 1, 1]]))
+        assert value3 == pytest.approx(value, rel=1e-9)
+        assert abs(value3 - bound3) <= 1e-9 * value3
+        assert x3[2] == 0.0 and x3.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bwk_zero_budget(self):
         T = 20
@@ -700,8 +464,26 @@ class TestBenchmarks:
         inst = BanditInstance(n=2, d=2, T=T, costs=costs,
                               norm=normalize_spec(linf(2)), rewards=rewards,
                               budget=0.0, null_action=1)
-        x, opt = benchmark_fixed_bwk(inst)
+        x, opt, bound = benchmark_fixed_bwk(inst)
         assert opt == pytest.approx(0.0, abs=1e-9)
+        assert bound == pytest.approx(0.0, abs=1e-9)
+
+    def test_bwk_only_the_zero_mixture_is_feasible(self):
+        """With B = 0 and every arm costly, only x = 0 is feasible, and the
+        bound is exact."""
+        rng = np.random.default_rng(120)
+        inst = bwk_instance(rng.uniform(0.1, 1, (10, 2, 3)), rng.uniform(0, 1, (10, 3)), 0.0)
+        x, value, bound = benchmark_fixed_bwk(inst)
+        assert (x == 0.0).all() and value == 0.0 and bound == 0.0
+
+    def test_bwk_zero_budget_keeps_free_arms(self):
+        """At B = 0 a zero-cost arm with reward still carries the whole mixture."""
+        costs = np.ones((10, 2, 3))
+        costs[:, :, 1] = 0.0
+        rewards = np.full((10, 3), 0.5)
+        x, value, bound = benchmark_fixed_bwk(bwk_instance(costs, rewards, 0.0))
+        assert x[0] == x[2] == 0.0
+        assert value == pytest.approx(5.0, rel=1e-9) and bound == pytest.approx(5.0, rel=1e-9)
 
     def test_bwk_single_arm_linear_scaling(self):
         T = 40
@@ -711,25 +493,36 @@ class TestBenchmarks:
         inst = BanditInstance(n=1, d=1, T=T, costs=costs,
                               norm=normalize_spec(l1(1)), rewards=rewards,
                               budget=T / 2.0)
-        x, opt = benchmark_fixed_bwk(inst)
-        assert x[0] == pytest.approx(0.5, abs=0.01)
-        assert opt == pytest.approx(reward * T / 2, rel=0.01)
+        x, opt, bound = benchmark_fixed_bwk(inst)
+        assert x[0] == pytest.approx(0.5, rel=1e-9)
+        assert opt == pytest.approx(reward * T / 2, rel=1e-9)
+        assert bound == pytest.approx(reward * T / 2, rel=1e-9)
 
-    def test_bwk_grid_and_bisection_agree(self):
-        rng = np.random.default_rng(10)
-        T = 25
-        rewards = rng.uniform(0, 1, (T, 3))
-        costs = rng.uniform(0, 1, (T, 2, 3))
-        inst = BanditInstance(n=3, d=2, T=T, costs=costs,
-                              norm=normalize_spec(linf(2)), rewards=rewards,
-                              budget=0.4 * T)
-        x, opt = benchmark_fixed_bwk(inst)
-        # exhaustive check on the certified grid
-        grid = whole_grid(4, 100)[:, :3]
-        feasible = eval_norm_rows(inst.norm, grid @ inst.total_costs.T) <= inst.budget
-        grid_opt = float((grid[feasible] @ inst.total_rewards).max())
-        assert opt >= grid_opt * 0.99
-        assert eval_norm(inst.norm, inst.total_costs @ x) <= inst.budget + 1e-9
+    def test_bvc_peak_memory_bounded(self):
+        """The n = 4 grid this replaced peaked at about 230 MB in one batch;
+        the ellipsoid keeps n-vectors and one n x n matrix."""
+        rng = np.random.default_rng(96)
+        inst = bvc_instance(rng.uniform(0, 1, (20, 8, 4)))
+        tracemalloc.start()
+        try:
+            benchmark_fixed_bvc(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+    def test_bwk_peak_memory_bounded(self):
+        """The n = 4 grid this replaced peaked at about 630 MB in one batch."""
+        rng = np.random.default_rng(97)
+        inst = bwk_instance(rng.uniform(0, 1, (20, 4, 4)), rng.uniform(0, 1, (20, 4)), 8.0,
+                            normalize_spec(topk(4, 2)))
+        tracemalloc.start()
+        try:
+            benchmark_fixed_bwk(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_projection(self):
         y = np.array([0.8, 0.3, -0.4])
@@ -797,3 +590,20 @@ class TestBanditIO:
             BanditInstance(n=2, d=1, T=1, costs=np.ones((1, 1, 2)),
                            norm=normalize_spec(l1(1)),
                            rewards=np.zeros((1, 2)), null_action=0)
+
+    @pytest.mark.parametrize("header, message", [
+        ({"n": 2, "d": 1, "T": 0}, "T must be an integer >= 1, got 0"),
+        ({"n": 0, "d": 1, "T": 1}, "n must be an integer >= 1, got 0"),
+        ({"n": 2.5, "d": 1, "T": 1}, "n must be an integer >= 1, got 2.5"),
+    ])
+    def test_bad_sizes_rejected(self, tmp_path, header, message):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({**header, "norm": "linf"}) + "\n")
+            fh.write(json.dumps({"C": [[0.5, 0.25]]}) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_bandit_instance(path)
+        for argv in (["bvc", "run"], ["bench", "bvc"]):
+            proc = subprocess.run([sys.executable, "-m", "gradnorm.cli", *argv, "--instance", path],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 2 and message in proc.stderr and "Traceback" not in proc.stderr

@@ -333,7 +333,7 @@ class TestCliMatchesLibrary:
                        "--seed", "1", "--out", out)
         assert proc.returncode == 0, proc.stderr
         inst = read_bandit_instance(path)
-        _, bench = benchmark_fixed_bwk(inst)
+        _, bench, _ = benchmark_fixed_bwk(inst)
         rows = []
         for i in range(2):
             seed = derive_seed(1, "run", i)

@@ -13,6 +13,7 @@ from gradnorm.norms import (  # noqa: E402
     format_norm_spec,
     linf,
     lp,
+    norm_subgradient,
     normalize_spec,
     ordered,
     parse_norm_spec,
@@ -98,3 +99,15 @@ def test_subadditive(case):
     spec, x, y = case
     nx, ny = eval_norm(spec, x), eval_norm(spec, y)
     assert eval_norm(spec, x + y) <= nx + ny + slack(nx, ny)
+
+
+@PROPERTY
+@given(norm_and_vectors())
+def test_subgradient_is_a_dual_maximizer(case):
+    """u >= 0 attains ||x|| at x, and its dual norm <= 1 keeps <u, y> <= ||y||."""
+    spec, x, y = case
+    u = norm_subgradient(spec, x)
+    nx, ny = eval_norm(spec, x), eval_norm(spec, y)
+    assert (u >= 0).all()
+    assert abs(u @ x - nx) <= 1e3 * slack(nx)
+    assert u @ y <= ny + 1e3 * slack(ny)

@@ -15,6 +15,7 @@ from gradnorm.norms import (
     l1,
     linf,
     lp,
+    norm_subgradient,
     normalize_spec,
     ones_profile,
     oracle_sym,
@@ -114,6 +115,40 @@ class TestAxioms:
             vals = eval_norm_rows(spec, rows)
             for row, v in zip(rows, vals):
                 assert v == pytest.approx(eval_norm(spec, row), rel=1e-12)
+
+
+class TestSubgradient:
+    @pytest.mark.parametrize("spec", ALL_SPECS + [oracle_sym(6, lambda v: float(np.abs(v).sum()))],
+                             ids=lambda s: s.kind)
+    def test_dual_maximizer(self, spec):
+        """<u, v> = ||v||, and <u, y> <= ||y|| at other points y (dual norm <= 1);
+        to the difference step for orlicz and oracle norms."""
+        rng = np.random.default_rng(4)
+        tol = 1e-6 if spec.kind in ("orlicz", "oracle") else 1e-12
+        spec = normalize_spec(spec)
+        for v in (rng.exponential(1.0, 6), np.array([2.0, 0.0, 2.0, 1.0, 0.0, 0.5]), np.zeros(6)):
+            u = norm_subgradient(spec, v)
+            assert (u >= 0).all()
+            assert u @ v == pytest.approx(eval_norm(spec, v), rel=tol, abs=1e-300)
+            for y in rng.exponential(1.0, (20, 6)):
+                assert u @ y <= eval_norm(spec, y) * (1 + tol)
+
+    def test_closed_forms(self):
+        v = np.array([1.0, 3.0, 2.0])
+        assert norm_subgradient(linf(3), v).tolist() == [0.0, 1.0, 0.0]
+        assert norm_subgradient(topk(3, 2), v).tolist() == [0.0, 1.0, 1.0]
+        assert norm_subgradient(ordered([3.0, 2.0, 1.0]), v).tolist() == [1.0, 3.0, 2.0]
+        np.testing.assert_allclose(norm_subgradient(lp(2, 2.0), [3.0, 4.0]), [0.6, 0.8])
+
+    def test_negative_entries_flip_sign(self):
+        u = norm_subgradient(lp(3, 3.0), [1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(np.sign(u), [1.0, -1.0, 1.0])
+        assert u @ [1.0, -2.0, 0.5] == pytest.approx(eval_norm(lp(3, 3.0), [1.0, -2.0, 0.5]))
+
+    def test_orlicz_square_matches_l2(self):
+        v = np.array([3.0, 4.0, 0.0])
+        np.testing.assert_allclose(norm_subgradient(orlicz(3, lambda z: z * z), v),
+                                   norm_subgradient(lp(3, 2.0), v), atol=1e-6)
 
 
 class TestProfilesAndNormalization:

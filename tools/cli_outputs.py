@@ -45,6 +45,11 @@ COMMANDS = [
     ("gen-bwk-linf", ["gen", "--problem", "bwk", "--n", "3", "--d", "8", "--T", "400",
                       "--budget", "100", "--norm", "linf", "--seed", "7",
                       "--out", "bwk-linf.jsonl"], None),
+    ("gen-bvc-spike", ["gen", "--problem", "bvc", "--family", "spike", "--n", "6", "--d", "2",
+                       "--T", "60", "--seed", "8", "--out", "bvc-spike.jsonl"], None),
+    ("gen-bwk-zero", ["gen", "--problem", "bwk", "--n", "3", "--d", "4", "--T", "60",
+                      "--budget", "0", "--norm", "topk:2", "--seed", "9",
+                      "--out", "bwk-zero.jsonl"], None),
     ("gen-bad-family", ["gen", "--problem", "lb", "--family", "diagonal", "--m", "3", "--k", "2",
                         "--out", "x.jsonl"], None),
     *[(f"verify-{check}", ["verify", *VERIFY, "--check", check, "--out", f"{check}.json"], None)
@@ -92,6 +97,9 @@ COMMANDS = [
                       "--out", "bwk-linf.csv"], None),
     ("bench-bvc", ["bench", "bvc", "--instance", "bvc.jsonl", "--out", "bench-bvc.json"], None),
     ("bench-bwk", ["bench", "bwk", "--instance", "bwk.jsonl"], None),
+    ("bench-bvc-spike", ["bench", "bvc", "--instance", "bvc-spike.jsonl",
+                         "--out", "bench-bvc-spike.json"], None),
+    ("bench-bwk-zero", ["bench", "bwk", "--instance", "bwk-zero.jsonl"], None),
     ("usage-no-command", [], None),
     ("usage-bad-choice", ["verify", "--check", "nonsense"], None),
     ("usage-missing-instance", ["lb", "run", "--instance", "missing.jsonl"], None),
