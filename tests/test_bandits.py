@@ -24,7 +24,7 @@ from gradnorm.bandits import (
     read_bandit_instance,
 )
 from gradnorm.harness import atomic_write_text
-from gradnorm.norms import eval_norm, l1, linf, lp, normalize_spec, topk
+from gradnorm.norms import eval_norm, eval_norm_rows, l1, linf, lp, normalize_spec, parse_norm_spec, topk
 from gradnorm.seeding import derive_rng
 
 
@@ -422,6 +422,113 @@ def bwk_instance(costs, rewards, budget, norm=None):
     T, d, n = costs.shape
     return BanditInstance(n=n, d=d, T=T, costs=costs, norm=norm or normalize_spec(linf(d)),
                           rewards=rewards, budget=budget)
+
+
+def recursive_grid_points(n, resolution):
+    """Every point of the simplex grid of step 1/resolution, by recursion over
+    lexicographic integer compositions."""
+
+    def rec(parts, total):
+        if parts == 1:
+            return np.array([[total]], dtype=np.int64)
+        blocks = []
+        for head in range(total + 1):
+            tail = rec(parts - 1, total - head)
+            block = np.empty((tail.shape[0], parts), dtype=np.int64)
+            block[:, 0] = head
+            block[:, 1:] = tail
+            blocks.append(block)
+        return np.vstack(blocks)
+
+    return rec(n, resolution) / resolution
+
+
+def grid_norm(name, d):
+    """The norms that the LP oracle of tests/test_offline_lp.py cannot check
+    (lp, ordered, Orlicz) next to two that it can (linf, top-k)."""
+    text = {"linf": "linf", "topk": f"topk:{min(3, d)}", "lp": "lp:2.5",
+            "ordered": "ordered:" + ",".join(str(0.5 ** i) for i in range(d)),
+            "orlicz": "orlicz:pow:2"}[name]
+    return normalize_spec(parse_norm_spec(text, dim=d))
+
+
+def grid_slack(spec, value):
+    """The benchmarks close their bracket to 1e-9 relative; the Orlicz
+    subgradient is a central difference, about 2e-7 accurate."""
+    return (1e-6 if spec.kind == "orlicz" else 1e-9) * max(1.0, abs(value))
+
+
+def full_batch_grid_bvc(instance, resolution=60):
+    """The least norm over every grid point of the simplex, scored in one batch."""
+    grid = recursive_grid_points(instance.n, resolution)
+    return float(eval_norm_rows(instance.norm, grid @ instance.total_costs.T).min())
+
+
+def full_batch_grid_bwk(instance, resolution=30):
+    """The most reward over every grid point of {x >= 0, sum x <= 1} within
+    the budget (a slack coordinate, dropped), scored in one batch; x = 0 is
+    always among them."""
+    grid = recursive_grid_points(instance.n + 1, resolution)[:, : instance.n]
+    feasible = grid[eval_norm_rows(instance.norm, grid @ instance.total_costs.T) <= instance.budget]
+    return float((feasible @ instance.total_rewards).max())
+
+
+def assert_bvc_beats_grid(instance, x, value, bound):
+    assert (x >= 0).all() and x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert value == eval_norm(instance.norm, instance.total_costs @ x)
+    slack = grid_slack(instance.norm, value)
+    assert abs(value - bound) <= slack
+    grid_best = full_batch_grid_bvc(instance)
+    assert value <= grid_best + slack and bound <= grid_best + slack
+
+
+def assert_bwk_beats_grid(instance, x, value, bound):
+    assert (x >= 0).all() and x.sum() <= 1.0 + 1e-12
+    assert eval_norm(instance.norm, instance.total_costs @ x) <= instance.budget
+    assert value == float(instance.total_rewards @ x)
+    slack = grid_slack(instance.norm, value)
+    assert abs(value - bound) <= slack
+    grid_best = full_batch_grid_bwk(instance)
+    assert value >= grid_best - slack and bound >= grid_best - slack
+
+
+class TestChunkedGrid:
+    """Brute force over a simplex grid, every point scored in one batch, as
+    an oracle for the benchmarks: the returned mixture is feasible, and
+    neither its value nor the certified bound is beaten by any grid point."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("norm", ["linf", "topk", "lp", "ordered", "orlicz"])
+    def test_equals_full_batch(self, n, norm):
+        d = 8
+        rng = np.random.default_rng(90 + n)
+        for costs in (rng.uniform(0, 1, (30, d, n)), rng.integers(0, 2, (30, d, n)).astype(float)):
+            inst = bvc_instance(costs, grid_norm(norm, d))
+            assert_bvc_beats_grid(inst, *benchmark_fixed_bvc(inst))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bvc_grid_point_equals_full_batch(self, n):
+        """Action 0 costs most in every coordinate, so mixing it in only
+        costs more: the benchmark leaves the vertex e_0."""
+        rng = np.random.default_rng(100 + n)
+        for norm in (linf(4), lp(4, 3.0)):
+            costs = rng.uniform(0, 0.5, (20, 4, n))
+            costs[:, :, 0] = 1.0
+            inst = bvc_instance(costs, normalize_spec(norm))
+            x, value, bound = benchmark_fixed_bvc(inst)
+            assert_bvc_beats_grid(inst, x, value, bound)
+            assert n == 1 or value < eval_norm(inst.norm, inst.total_costs[:, 0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bwk_equals_full_batch(self, n):
+        rng = np.random.default_rng(110 + n)
+        d = 3
+        for norm in ("linf", "lp", "ordered", "orlicz"):
+            costs = rng.uniform(0, 1, (20, d, n))
+            inst = bwk_instance(costs, rng.uniform(0, 1, (20, n)), 5.0, grid_norm(norm, d))
+            x, value, bound = benchmark_fixed_bwk(inst)
+            assert_bwk_beats_grid(inst, x, value, bound)
+            assert value > 0.0  # the budget admits more than the zero mixture
 
 
 class TestBenchmarks:
