@@ -131,13 +131,10 @@ class Exp3State:
 _PROB_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-def exp3_sample(state: Exp3State, rng: np.random.Generator) -> tuple[int, float]:
-    """One draw from the EXP3 distribution, by inverse CDF.
-
-    The same draw from the same stream as ``rng.choice(n, p=p)``: one
-    ``rng.random()`` looked up in the normalized cumulative sum, and the same
-    validation of ``p``.
-    """
+def _exp3_draw(state: Exp3State, u: float) -> tuple[int, float]:
+    """The action that the uniform ``u`` draws from the EXP3 distribution by
+    inverse CDF, and its probability, with the distribution validated as
+    ``rng.choice`` validates it."""
     p = state.distribution()
     if not p.min() >= 0.0:  # NaN fails too
         raise ValueError(f"probabilities must be non-negative numbers, got {p}")
@@ -146,8 +143,18 @@ def exp3_sample(state: Exp3State, rng: np.random.Generator) -> tuple[int, float]
     if not abs(total - 1.0) <= _PROB_SUM_TOL:
         raise ValueError(f"probabilities must sum to 1, got {p}")
     cdf /= total
-    a = int(cdf.searchsorted(rng.random(), side="right"))
+    a = int(cdf.searchsorted(u, side="right"))
     return a, float(p[a])
+
+
+def exp3_sample(state: Exp3State, rng: np.random.Generator) -> tuple[int, float]:
+    """One draw from the EXP3 distribution, by inverse CDF.
+
+    The same draw from the same stream as ``rng.choice(n, p=p)``: one
+    ``rng.random()`` looked up in the normalized cumulative sum, and the same
+    validation of ``p``.
+    """
+    return _exp3_draw(state, rng.random())
 
 
 def exp3_update(state: Exp3State, action: int, prob: float, loss: float) -> Exp3State:
@@ -201,7 +208,9 @@ def _play(
     ones_norm = eval_norm(instance.norm, np.ones(instance.d))
     inflate = _inflation(psi, ones_norm)
     state = Exp3State.fresh(instance.n, T)
-    rng = derive_rng(seed, "bvc" if budget is None else "bwk")
+    # the generator is private to the run, so its T uniforms can be drawn at
+    # once: the same floats as T calls of rng.random()
+    uniforms = derive_rng(seed, "bvc" if budget is None else "bwk").random(T).tolist()
     loads = np.zeros(instance.d)
     actions = np.empty(T, dtype=np.int64)
     probs = np.empty(T)
@@ -218,7 +227,7 @@ def _play(
             break
         value, grad = psi.value_and_grad(loads)
         norm_bound = _round_normalizer(psi, loads, value, inflate)
-        a, p = exp3_sample(state, rng)
+        a, p = _exp3_draw(state, uniforms[t])
         column = instance.costs[t, :, a]
         loss = scalarize(t, a, float(grad @ column), norm_bound)
         exp3_update(state, a, p, loss)
