@@ -1,10 +1,12 @@
 """Adversarial bandits with vector costs and with knapsack budgets.
 
 Both problems run one round loop: an importance-weighted exponential-weights
-learner (EXP3) over scalarized per-round feedback.  The vector-cost problem
-feeds losses that linearize the surrogate of the accumulated cost through its
-gradient, normalized by a per-round upper bound so they land in [0, 1].  The
-knapsack variant mixes reward and scaled gradient-cost into one gain and keeps
+learner (EXP3) over scalarized per-round feedback.  Each round makes one
+surrogate call, the gradient g of the surrogate at the accumulated cost.  The
+vector-cost problem feeds the loss <g, c> / (sum_i max(g_i, 0) * inflation)
+for the played cost column c: sum_i max(g_i, 0) is the exact maximum of
+<g, c> over the cost cube [0, 1]^d, and the run's gradient-stability
+inflation is at least 1, so every loss lands in [0, 1].  The knapsack variant mixes reward and scaled gradient-cost into one gain and keeps
 the budget as a hard constraint: play stops once ||loads|| + ||1|| > B (for a
 monotone norm, one step of cost in [0, 1]^d adds at most ||1||), and only the
 null action is played after that.
@@ -177,18 +179,6 @@ def _inflation(psi: GradStableApprox, ones_norm: float) -> float:
     return math.exp(min(meta.stability_scale * meta.epsilon * ones_norm + meta.delta, 30.0))
 
 
-def _round_normalizer(
-    psi: GradStableApprox, loads: np.ndarray, value: float, inflate: float
-) -> float:
-    """Upper bound on <grad psi(loads), c> over cost columns c in [0,1]^d.
-
-    Chord bound from ``value = psi(loads)`` inflated by ``_inflation``, so the
-    bound holds for the declared surrogate class as a whole.
-    """
-    chord = psi.value(loads + 1.0) - value
-    return max(chord * inflate, 1e-12)
-
-
 def _play(
     instance: BanditInstance,
     psi: GradStableApprox,
@@ -197,10 +187,13 @@ def _play(
     budget: float | None = None,
 ) -> BanditTrace:
     """The EXP3 round loop of both problems: each round draws an action, feeds
-    ``scalarize(t, action, <grad psi(loads), column>, normalizer)`` to the learner
-    and adds the column to the loads.  With a ``budget``, play stops at the first
-    round where ``||loads|| + ||1|| > budget``, and every later round plays the null
-    action with probability 1 and a NaN loss.
+    ``scalarize(t, action, <g, column>, normalizer)`` to the learner and adds the
+    column to the loads.  The one surrogate call of a round is
+    ``g = psi.gradient(loads)``; the normalizer is sum_i max(g_i, 0), the exact
+    maximum of <g, c> over cost columns c in [0, 1]^d, times ``_inflation``.
+    With a ``budget``, play stops at the first round where
+    ``||loads|| + ||1|| > budget``, and every later round plays the null action
+    with probability 1 and a NaN loss.
     """
     if psi.dim != instance.d:
         raise ValueError("surrogate dimension must match the cost dimension")
@@ -225,8 +218,8 @@ def _play(
             probs[t:] = 1.0
             losses[t:] = np.nan
             break
-        value, grad = psi.value_and_grad(loads)
-        norm_bound = _round_normalizer(psi, loads, value, inflate)
+        grad = psi.gradient(loads)
+        norm_bound = max(float(np.maximum(grad, 0.0).sum()) * inflate, 1e-12)
         a, p = _exp3_draw(state, uniforms[t])
         column = instance.costs[t, :, a]
         loss = scalarize(t, a, float(grad @ column), norm_bound)

@@ -84,8 +84,8 @@ GREEDY_RATIO_BASELINES = {
 }
 
 BANDIT_BASELINES = {
-    "bvc_mean_ratio": 1.0179939999999998,
-    "bwk_mean_ratio": 0.32530430769280444,
+    "bvc_mean_ratio": 1.018214,
+    "bwk_mean_ratio": 0.32534661555660044,
 }
 
 

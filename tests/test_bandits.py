@@ -140,18 +140,20 @@ class TestExp3SampleMatchesChoice:
             exp3_sample(state, np.random.default_rng(0))
 
 
-class SeparateValueAndGradient(GradStableApprox):
-    """``psi`` with the base class's value_and_grad: value(x), then gradient(x)."""
+class GradientOnly(GradStableApprox):
+    """``psi`` that answers gradient calls only, and counts them."""
 
     def __init__(self, psi):
         self.psi = psi
         self.dim = psi.dim
         self.meta = psi.meta
+        self.calls = 0
 
     def value(self, x):
-        return self.psi.value(x)
+        raise AssertionError("a bandit round must not evaluate the surrogate's value")
 
     def gradient(self, x):
+        self.calls += 1
         return self.psi.gradient(x)
 
 
@@ -162,8 +164,9 @@ def assert_traces_equal(a, b):
 
 
 def reference_run(instance, psi, seed, opt_bwk=None, stop_step=None):
-    """The bandit loop as first written: separate gradient and value calls, two
-    surrogate values per round normalizer, and rng.choice for the draw.
+    """The bandit loop as first written, with the gradient-mass normalizer:
+    one gradient call per round, the normalizer sum(max(grad, 0)) times the
+    inflation, and rng.choice for the draw.
 
     A knapsack run stops when ||loads|| + stop_step > B, with stop_step = ||1||
     by default.  Returns the actions, probabilities and losses of the rounds
@@ -180,9 +183,8 @@ def reference_run(instance, psi, seed, opt_bwk=None, stop_step=None):
         if opt_bwk is not None and eval_norm(instance.norm, loads) + stop_step > instance.budget:
             break
         grad = psi.gradient(loads)
-        chord = psi.value(loads + 1.0) - psi.value(loads)
         inflate = math.exp(min(meta.stability_scale * meta.epsilon * ones_norm + meta.delta, 30.0))
-        bound = max(chord * inflate, 1e-12)
+        bound = max(float(np.maximum(grad, 0.0).sum()) * inflate, 1e-12)
         w = state.weights / state.weights.sum()
         p = (1.0 - state.phi) * w + state.phi / len(w)
         a = int(rng.choice(len(p), p=p))
@@ -202,8 +204,9 @@ def reference_run(instance, psi, seed, opt_bwk=None, stop_step=None):
 
 
 class TestFusedValueAndGradientRuns:
-    """Runs through value_and_grad equal runs through separate value/gradient
-    calls, and the loop as first written."""
+    """Each round makes one surrogate call, a gradient: runs through a
+    surrogate that answers nothing else equal the runs of the surrogate
+    itself and of the loop as first written."""
 
     @pytest.mark.parametrize("approx", ["softmax", "slp:2", "gstopk:2", "sym"])
     def test_bvc_run(self, approx):
@@ -212,7 +215,9 @@ class TestFusedValueAndGradientRuns:
         inst = bvc_instance(rng.uniform(0, 1, (150, 4, 3)), norm=norm)
         psi = build_approx(approx, 4, 0.2, samples=300, seed=24, norm=norm)
         trace = bvc_run(inst, psi, seed=25)
-        assert_traces_equal(trace, bvc_run(inst, SeparateValueAndGradient(psi), seed=25))
+        only = GradientOnly(psi)
+        assert_traces_equal(trace, bvc_run(inst, only, seed=25))
+        assert only.calls == inst.T
         actions, probs, losses, loads = reference_run(inst, psi, seed=25)
         np.testing.assert_array_equal(trace.actions, actions)
         np.testing.assert_array_equal(trace.probs, probs)
@@ -231,16 +236,55 @@ class TestFusedValueAndGradientRuns:
         inst = BanditInstance(n=3, d=2, T=T, costs=costs, norm=norm, rewards=rewards,
                               budget=60.0, null_action=2)
         psi = build_approx(approx, 2, 0.05, samples=300, seed=27, norm=norm)
+        only = GradientOnly(psi)
         runs = [bwk_run(inst, p, opt_bwk=40.0, seed=28, allow_small_budget=True)
-                for p in (psi, SeparateValueAndGradient(psi))]
+                for p in (psi, only)]
         assert runs[0].stopped_at < T  # the stop rule is covered too
         assert_traces_equal(*runs)
+        assert only.calls == runs[0].stopped_at
         actions, probs, losses, loads = reference_run(inst, psi, seed=28, opt_bwk=40.0)
         assert len(actions) == runs[0].stopped_at
         np.testing.assert_array_equal(runs[0].actions[: len(actions)], actions)
         np.testing.assert_array_equal(runs[0].probs[: len(probs)], probs)
         np.testing.assert_array_equal(runs[0].losses[: len(losses)], losses)
         np.testing.assert_array_equal(runs[0].final_cost, loads)
+
+
+def normalizer_surrogate(approx, d=8):
+    """One of the CLI's surrogates at dimension d (nested: two resources of d/2)."""
+    norm = normalize_spec(topk(d, 2))
+    if approx == "nested:2":
+        inner = [normalize_spec(topk(d // 2, 2)), normalize_spec(linf(d // 2))]
+        return build_approx(approx, d, 0.2, samples=300, seed=31, inner_norms=inner, machines=d // 2)
+    return build_approx(approx, d, 0.2, samples=300, seed=31, norm=norm)
+
+
+class TestRoundNormalizer:
+    """The round loop divides <g, c> by sum(max(g, 0)) times the inflation.
+    That sum is the exact maximum of <g, c> over c in [0, 1]^d, and by
+    convexity it is never above the chord psi(x + 1) - psi(x) that the loop
+    used before: equal for softmax and a bare top-k surrogate, whose chord
+    is their gradient sum, and below it for compositions."""
+
+    # float tolerance, relative to psi(x + 1): the Monte-Carlo values sum
+    # hundreds of sampled top-k sums, each rounded
+    CHORD_TOL = 1e-9
+    # <g, c> and sum(max(g, 0)) are summed in different orders
+    DOT_TOL = 1e-12
+
+    @pytest.mark.parametrize("approx", ["softmax", "slp:2", "gstopk:2", "sym", "nested:2"])
+    def test_gradient_mass_bounds_every_cost_column(self, approx):
+        psi = normalizer_surrogate(approx)
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            x = rng.exponential(1.0, psi.dim) * rng.choice([0.0, 0.1, 1.0, 10.0, 100.0]) / 0.2
+            x[rng.random(psi.dim) < 0.3] = 0.0
+            g = psi.gradient(x)
+            mass = float(np.maximum(g, 0.0).sum())
+            top = psi.value(x + 1.0)
+            assert mass <= top - psi.value(x) + self.CHORD_TOL * max(1.0, abs(top))
+            for c in (*rng.random((20, psi.dim)), np.ones(psi.dim), (g > 0).astype(float)):
+                assert float(g @ c) <= mass * (1.0 + self.DOT_TOL)
 
 
 class TestBvcRun:
