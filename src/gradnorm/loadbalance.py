@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .approx.base import GradStableApprox
+from .jsonl import check_sizes, number_array, record
 from .norms import NormSpec, eval_norm_rows, format_norm_spec, normalize_spec, parse_norm_spec
 from .seeding import derive_seed
 
@@ -261,10 +262,14 @@ def read_lb_instance(path: str) -> LbInstance:
         lines = [line for line in (raw.strip() for raw in fh) if line]
     if not lines:
         raise ValueError(f"empty instance file {path}")
-    header = json.loads(lines[0])
+    header = record(json.loads(lines[0]), ("m", "k", "T"), path, 0)
+    record(header, ("r", "inner") if "r" in header else ("norm",), path, 0)
     m, k, T = header["m"], header["k"], header["T"]
-    jobs = [np.asarray(json.loads(line)["C"], dtype=float) for line in lines[1:]]
+    check_sizes(m=m, k=k, T=T, **({"r": header["r"]} if "r" in header else {}))
+    jobs = [number_array(json.loads(line), "C", path, t) for t, line in enumerate(lines[1:], 1)]
     if "r" in header:
+        if type(header["inner"]) is not list:
+            raise ValueError(f"{path}: the header's 'inner' must be a list of norm specs")
         inner = [normalize_spec(parse_norm_spec(s, dim=m)) for s in header["inner"]]
         return LbInstance(m=m, k=k, T=T, jobs=jobs, r=header["r"], inner=inner)
     norm = normalize_spec(parse_norm_spec(header["norm"], dim=m))

@@ -311,6 +311,8 @@ def normalize_spec(spec: NormSpec) -> NormSpec:
 
 def parse_norm_spec(text: str, dim: int | None = None) -> NormSpec:
     """Parse the CLI/config norm grammar; ``dim`` is required unless implied."""
+    if not isinstance(text, str):
+        raise NormSpecError(f"a norm spec must be a string, got {text!r}")
     head, sep, rest = text.partition(":")
     if head == "linf":
         if sep:

@@ -758,3 +758,52 @@ class TestBanditIO:
             proc = subprocess.run([sys.executable, "-m", "gradnorm.cli", *argv, "--instance", path],
                                   capture_output=True, text=True)
             assert proc.returncode == 2 and message in proc.stderr and "Traceback" not in proc.stderr
+
+    def run_cli_on(self, tmp_path, header, rows):
+        """Write a header and rows as JSON lines; the reader's error and ``bvc run``'s."""
+        path = str(tmp_path / "inst.jsonl")
+        with open(path, "w") as fh:
+            for obj in (header, *rows):
+                fh.write(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError) as raised:
+            read_bandit_instance(path)
+        proc = subprocess.run([sys.executable, "-m", "gradnorm.cli", "bvc", "run", "--instance", path],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert str(raised.value) in proc.stderr
+        return str(raised.value)
+
+    HEADER = {"n": 2, "d": 2, "T": 2, "norm": "linf"}
+    GOOD_ROW = {"C": [[0.5, 0.4], [0.3, 0.2]]}
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"C": [[0.5], [0.4]]}, "row 2: 'C' must have shape (2, 2), got (2, 1)"),
+        ({"C": 0.7}, "row 2: 'C' must have shape (2, 2), got ()"),
+        ({"C": [0.5, 0.4]}, "row 2: 'C' must have shape (2, 2), got (2,)"),
+        ({"C": [[0.5, 0.4], [0.3]]}, "row 2: 'C' is not an array of numbers"),
+        ({"C": {"a": 1}}, "row 2: 'C' is not an array of numbers"),
+    ])
+    def test_mis_shaped_cost_rows_rejected(self, tmp_path, bad, message):
+        """A row numpy would broadcast into the (d, n) block is refused, not run."""
+        assert message in self.run_cli_on(tmp_path, self.HEADER, [self.GOOD_ROW, bad])
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"C": [[0.5, 0.4], [0.3, 0.2]], "r": 0.5}, "row 2: 'r' must have shape (2,), got ()"),
+        ({"C": [[0.5, 0.4], [0.3, 0.2]], "r": [[0.5, 0.5]]}, "row 2: 'r' must have shape (2,), got (1, 2)"),
+        ({"C": [[0.5, 0.4], [0.3, 0.2]]}, "row 2 has no key 'r'"),
+    ])
+    def test_mis_shaped_reward_rows_rejected(self, tmp_path, bad, message):
+        first = {**self.GOOD_ROW, "r": [0.5, 0.0]}
+        assert message in self.run_cli_on(tmp_path, self.HEADER, [first, bad])
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ([3, 2, 1], [], "the header must be a JSON object, got list"),
+        ({"n": 2, "d": 2, "norm": "linf"}, [], "the header has no key 'T'"),
+        ({"n": 2, "d": 2, "T": 2}, [], "the header has no key 'norm'"),
+        ({"n": 2, "d": 2, "T": 2, "norm": ["linf"]}, [GOOD_ROW] * 2, "a norm spec must be a string"),
+        (HEADER, [GOOD_ROW, [3, 2, 1]], "row 2 must be a JSON object, got list"),
+        (HEADER, [{"c": GOOD_ROW["C"]}], "row 1 has no key 'C'"),
+    ])
+    def test_malformed_records_rejected(self, tmp_path, header, rows, message):
+        """An array where an object belongs, or a missing key, names the line and the key."""
+        assert message in self.run_cli_on(tmp_path, header, rows)

@@ -1,5 +1,9 @@
 """Greedy load balancing: steps, traces, brute force, vector scheduling."""
 
+import json
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -362,6 +366,31 @@ class TestInstanceIO:
             LbInstance(m=2, k=2, T=1, jobs=[np.zeros((3, 2))], norm=normalize_spec(linf(2)))
         with pytest.raises(ValueError):
             LbInstance(m=2, k=2, T=1, jobs=[-np.ones((2, 2))], norm=normalize_spec(linf(2)))
+
+    @pytest.mark.parametrize("lines, message", [
+        ([[3, 2, 1]], "the header must be a JSON object, got list"),
+        ([{"m": 2, "k": 2, "T": 1}], "the header has no key 'norm'"),
+        ([{"m": 2, "T": 1, "norm": "linf"}], "the header has no key 'k'"),
+        ([{"m": 2, "k": 2, "T": 1, "r": 2}], "the header has no key 'inner'"),
+        ([{"m": 2, "k": 2, "T": 1, "r": 2, "inner": 5}], "'inner' must be a list of norm specs"),
+        ([{"m": "2", "k": 2, "T": 1, "norm": "linf"}, {"C": [[1, 2], [3, 4]]}],
+         "m must be an integer >= 1, got '2'"),
+        ([{"m": 2, "k": 2, "T": 1, "norm": 5}, {"C": [[1, 2], [3, 4]]}], "a norm spec must be a string"),
+        ([{"m": 2, "k": 2, "T": 1, "norm": "linf"}, [3, 2, 1]], "row 1 must be a JSON object, got list"),
+        ([{"m": 2, "k": 2, "T": 1, "norm": "linf"}, {"c": 1}], "row 1 has no key 'C'"),
+        ([{"m": 2, "k": 2, "T": 1, "norm": "linf"}, {"C": {"a": 1}}], "row 1: 'C' is not an array of numbers"),
+    ])
+    def test_malformed_records_exit_2(self, tmp_path, lines, message):
+        """A line that is not an object, a missing key or a bad entry raises
+        ValueError naming the line and the key, and ``lb run`` exits 2."""
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as fh:
+            fh.write("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_lb_instance(path)
+        proc = subprocess.run([sys.executable, "-m", "gradnorm.cli", "lb", "run", "--instance", path,
+                               "--approx", "softmax"], capture_output=True, text=True)
+        assert proc.returncode == 2 and message in proc.stderr and "Traceback" not in proc.stderr
 
     def test_needs_a_machine_and_an_option(self):
         with pytest.raises(ValueError, match="k >= 1"):
