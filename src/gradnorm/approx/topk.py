@@ -191,7 +191,6 @@ class TopKApprox(GradStableApprox):
         self._ranks_total = int(self.ranks.sum())
         self._value_chunks = self._chunk_plan()
         self._scratch = threading.local()  # per-thread kernel buffers
-        self.mean_rank = float(self.ranks.mean())
         # mean of min(K, k): value(x) >= (mean_capped_rank / k) * topk(x) pointwise
         self.mean_capped_rank = float(np.minimum(self.ranks, k).mean())
         # mean of ceil(K / k): value(x) <= that * topk(x) + value(0) pointwise

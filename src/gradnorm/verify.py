@@ -32,7 +32,6 @@ from .seeding import derive_rng
 __all__ = [
     "CheckReport",
     "SmoothGameParams",
-    "finite_diff_grad",
     "check_gradient_stability",
     "check_sandwich",
     "check_smooth_game",
@@ -114,22 +113,6 @@ class SmoothGameParams:
             raise ValueError(f"mu must be in [0, 1), got {self.mu}")
         if self.lam <= 0.0 or self.horizon < 1:
             raise ValueError("need lam > 0 and horizon >= 1")
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float) -> np.ndarray:
-    """Central differences, one-sided at the boundary of the orthant."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        step = np.zeros_like(x)
-        step[i] = h
-        if x[i] >= h:
-            g[i] = (f(x + step) - f(x - step)) / (2.0 * h)
-        else:
-            g[i] = (f(x + step) - f(x)) / h
-    return g
 
 
 def _sample_point(rng: np.random.Generator, dim: int, epsilon: float) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradnorm.approx import ShiftedLpApprox, SoftmaxApprox
-from gradnorm.verify import finite_diff_grad
+from helpers import finite_diff_grad
 
 
 class TestSoftmax:

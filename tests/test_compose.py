@@ -25,7 +25,7 @@ from gradnorm.norms import (
     ordered,
     topk,
 )
-from gradnorm.verify import finite_diff_grad
+from helpers import finite_diff_grad
 
 
 class TestNodes:

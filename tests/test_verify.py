@@ -21,8 +21,8 @@ from gradnorm.verify import (
     check_sandwich,
     check_smooth_game,
     check_structure,
-    finite_diff_grad,
 )
+from helpers import finite_diff_grad
 
 
 class MaxStub(GradStableApprox):
