@@ -6,8 +6,9 @@ surrogate call, the gradient g of the surrogate at the accumulated cost.  The
 vector-cost problem feeds the loss <g, c> / (sum_i max(g_i, 0) * inflation)
 for the played cost column c: sum_i max(g_i, 0) is the exact maximum of
 <g, c> over the cost cube [0, 1]^d, and the run's gradient-stability
-inflation is at least 1, so every loss lands in [0, 1].  The knapsack variant mixes reward and scaled gradient-cost into one gain and keeps
-the budget as a hard constraint: play stops once ||loads|| + ||1|| > B (for a
+inflation is at least 1, so every loss lands in [0, 1].  The knapsack
+variant mixes reward and scaled gradient-cost into one gain and keeps the
+budget as a hard constraint: play stops once ||loads|| + ||1|| > B (for a
 monotone norm, one step of cost in [0, 1]^d adds at most ||1||), and only the
 null action is played after that.
 
@@ -197,7 +198,7 @@ def _play(
     state = Exp3State.fresh(instance.n, T)
     # the generator is private to the run, so its T uniforms can be drawn at
     # once: the same floats as T calls of rng.random()
-    uniforms = derive_rng(seed, "bvc" if budget is None else "bwk").random(T).tolist()
+    uniforms = derive_rng(seed, "bvc" if budget is None else "bwk").random(T)
     loads = np.zeros(instance.d)
     actions = np.empty(T, dtype=np.int64)
     probs = np.empty(T)
