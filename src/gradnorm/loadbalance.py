@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .approx.base import GradStableApprox
-from .jsonl import check_sizes, number_array, record
+from .jsonl import number_array, record
 from .norms import NormSpec, eval_norm_rows, format_norm_spec, normalize_spec, parse_norm_spec
 from .seeding import derive_seed
 
@@ -265,7 +265,10 @@ def read_lb_instance(path: str) -> LbInstance:
     header = record(json.loads(lines[0]), ("m", "k", "T"), path, 0)
     record(header, ("r", "inner") if "r" in header else ("norm",), path, 0)
     m, k, T = header["m"], header["k"], header["T"]
-    check_sizes(m=m, k=k, T=T, **({"r": header["r"]} if "r" in header else {}))
+    for name in ("m", "k", "T", "r"):  # LbInstance and the norm parse check the values
+        size = header.get(name, 1)
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise ValueError(f"{path}: the header's {name!r} must be an integer, got {size!r}")
     jobs = [number_array(json.loads(line), "C", path, t) for t, line in enumerate(lines[1:], 1)]
     if "r" in header:
         if type(header["inner"]) is not list:

@@ -374,7 +374,9 @@ class TestInstanceIO:
         ([{"m": 2, "k": 2, "T": 1, "r": 2}], "the header has no key 'inner'"),
         ([{"m": 2, "k": 2, "T": 1, "r": 2, "inner": 5}], "'inner' must be a list of norm specs"),
         ([{"m": "2", "k": 2, "T": 1, "norm": "linf"}, {"C": [[1, 2], [3, 4]]}],
-         "m must be an integer >= 1, got '2'"),
+         "the header's 'm' must be an integer, got '2'"),
+        ([{"m": 2, "k": 2, "T": 1.5, "norm": "linf"}, {"C": [[1, 2], [3, 4]]}],
+         "the header's 'T' must be an integer, got 1.5"),
         ([{"m": 2, "k": 2, "T": 1, "norm": 5}, {"C": [[1, 2], [3, 4]]}], "a norm spec must be a string"),
         ([{"m": 2, "k": 2, "T": 1, "norm": "linf"}, [3, 2, 1]], "row 1 must be a JSON object, got list"),
         ([{"m": 2, "k": 2, "T": 1, "norm": "linf"}, {"c": 1}], "row 1 has no key 'C'"),
