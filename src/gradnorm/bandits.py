@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .approx.base import GradStableApprox
-from .jsonl import check_sizes, number_array, record
+from .jsonl import number_array, record
 from .norms import NormSpec, eval_norm, format_norm_spec, norm_subgradient, normalize_spec, parse_norm_spec
 from .seeding import derive_rng
 
@@ -63,7 +63,7 @@ class BanditInstance:
     null_action: int | None = None
 
     def __post_init__(self):
-        check_sizes(n=self.n, d=self.d, T=self.T)
+        self.check_sizes(self.n, self.d, self.T)
         if self.costs.shape != (self.T, self.d, self.n):
             raise ValueError(f"costs must be (T={self.T}, d={self.d}, n={self.n})")
         if not (self.costs >= 0).all() or not (self.costs <= 1).all():  # NaN fails too
@@ -83,6 +83,13 @@ class BanditInstance:
                 raise ValueError("null action must have zero cost")
             if self.rewards is not None and self.rewards[:, a].any():
                 raise ValueError("null action must have zero reward")
+
+    @staticmethod
+    def check_sizes(n, d, T) -> None:
+        """Raise ValueError unless n, d and T are integers >= 1."""
+        for name, size in (("n", n), ("d", d), ("T", T)):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
 
     @property
     def total_costs(self) -> np.ndarray:
@@ -444,7 +451,7 @@ def read_bandit_instance(path: str) -> BanditInstance:
             raise ValueError(f"empty instance file {path}")
         header = record(json.loads(first), ("n", "d", "T", "norm"), path, 0)
         n, d, T = header["n"], header["d"], header["T"]
-        check_sizes(n=n, d=d, T=T)
+        BanditInstance.check_sizes(n, d, T)
         costs = np.empty((T, d, n))
         rewards = None
         rows = 0

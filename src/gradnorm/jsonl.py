@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_sizes", "record", "number_array"]
-
-
-def check_sizes(**sizes) -> None:
-    """Raise ValueError unless every size is an integer >= 1."""
-    for name, size in sizes.items():
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+__all__ = ["record", "number_array"]
 
 
 def _where(path: str, line: int) -> str:
