@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -79,6 +79,42 @@ def dump_json(path: str | None, obj) -> None:
         sys.stdout.write(text)
 
 
+# --- config entries ----------------------------------------------------------------
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_KINDS = {  # kind -> (what a config entry of that kind must be, its test)
+    int: ("an integer", _is_int),
+    float: ("a finite number",
+            lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    "norms": ("a string or a list", lambda v: isinstance(v, (str, list))),
+    "seeds": ("a count >= 1 or a non-empty list of integers",
+              lambda v: v >= 1 if _is_int(v) else isinstance(v, list) and v != [] and all(map(_is_int, v))),
+}
+
+
+def _get(config: dict, key: str, default, kind):
+    """``config[key]`` if it is of ``kind``, a key of ``_KINDS``; else a ``ValueError`` naming the key.
+
+    A missing or null entry gives ``default`` (``MISSING`` makes the key required);
+    a float entry may be any finite int or float and is returned as a float.
+    """
+    value = config.get(key)
+    if value is None:
+        if default is MISSING:
+            raise ValueError(f"{key} is required")
+        return default
+    what, ok = _KINDS[kind]
+    if not ok(value):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 # --- instance generators --------------------------------------------------------
 
 
@@ -105,6 +141,18 @@ class GeneratorSpec:
             raise ValueError("all sizes must be >= 1")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget!r}")
+
+    @classmethod
+    def from_config(cls, config: dict) -> GeneratorSpec:
+        """The spec of a ``gen`` config; ``inner`` may be a comma-separated string."""
+        kinds = {"problem": str, "inner": "norms", "budget": float}  # else the default's type
+        spec = cls(**{f.name: _get(config, f.name, f.default, kinds.get(f.name, type(f.default)))
+                      for f in fields(cls)})
+        if isinstance(spec.inner, str):
+            spec.inner = spec.inner.split(",")
+        return spec
 
 
 def _lb_jobs(spec: GeneratorSpec, rng: np.random.Generator) -> list[np.ndarray]:
@@ -168,22 +216,17 @@ def _bandit_arrays(spec: GeneratorSpec, rng: np.random.Generator):
 def generate(spec: GeneratorSpec, path: str) -> None:
     """Emit the JSON-lines instance; byte-identical for identical specs."""
     rng = derive_rng(spec.seed, "gen", spec.problem, spec.family)
-    if spec.problem == "lb":
-        if spec.m * spec.k * spec.T > SIZE_CAP:
+    if spec.problem in ("lb", "vs"):
+        if spec.m * spec.k * spec.T * (spec.r if spec.problem == "vs" else 1) > SIZE_CAP:
             raise ValueError("instance size exceeds the generator cap")
-        inst = lb.LbInstance(
-            m=spec.m, k=spec.k, T=spec.T, jobs=_lb_jobs(spec, rng),
-            norm=normalize_spec(parse_norm_spec(spec.norm, dim=spec.m)),
-        )
-        atomic_write_text(path, lb.format_lb_instance(inst))
-    elif spec.problem == "vs":
-        if spec.m * spec.k * spec.T * spec.r > SIZE_CAP:
-            raise ValueError("instance size exceeds the generator cap")
-        inner_texts = spec.inner or [spec.norm] * spec.r
-        inner = [normalize_spec(parse_norm_spec(s, dim=spec.m)) for s in inner_texts]
-        inst = lb.LbInstance(
-            m=spec.m, k=spec.k, T=spec.T, jobs=_vs_jobs(spec, rng), r=spec.r, inner=inner
-        )
+        if spec.problem == "lb":
+            norm = normalize_spec(parse_norm_spec(spec.norm, dim=spec.m))
+            inst = lb.LbInstance(m=spec.m, k=spec.k, T=spec.T, jobs=_lb_jobs(spec, rng), norm=norm)
+        else:
+            inner = [normalize_spec(parse_norm_spec(s, dim=spec.m))
+                     for s in spec.inner or [spec.norm] * spec.r]
+            inst = lb.LbInstance(m=spec.m, k=spec.k, T=spec.T, jobs=_vs_jobs(spec, rng), r=spec.r,
+                                 inner=inner)
         atomic_write_text(path, lb.format_lb_instance(inst))
     elif spec.problem in ("bwk", "bvc"):
         if spec.n * spec.d * spec.T > SIZE_CAP:
@@ -211,16 +254,10 @@ def generate(spec: GeneratorSpec, path: str) -> None:
 # --- experiment orchestration ----------------------------------------------------
 
 
-def _get(config: dict, key: str, default=None):
-    """``config[key]``, with a missing key and an explicit None both giving ``default``."""
-    value = config.get(key)
-    return default if value is None else value
-
-
 def _approx_builder(config: dict, instance, default: str):
     """``builder(dim, epsilon, seed)`` for the config's surrogate, ``default`` when unset."""
-    spec = parse_approx_spec(_get(config, "approx", default))
-    samples = int(_get(config, "samples", 2000))
+    spec = parse_approx_spec(_get(config, "approx", default, str))
+    samples = _get(config, "samples", 2000, int)
     if isinstance(instance, lb.LbInstance) and instance.is_vector_scheduling:
         inner, machines = instance.inner, instance.m
     else:
@@ -252,13 +289,13 @@ def greedy_runner(config: dict):
     The instance file is read once.  The surrogate defaults to ``nested:<r>``
     on a vector-scheduling instance and to ``sym`` otherwise.
     """
-    instance = lb.read_lb_instance(config["instance"])
-    if config.get("problem") == "vs" and not instance.is_vector_scheduling:
+    instance = lb.read_lb_instance(_get(config, "instance", MISSING, str))
+    if _get(config, "problem", None, str) == "vs" and not instance.is_vector_scheduling:
         raise ValueError("vs run needs an instance with resource structure")
     default = f"nested:{instance.r}" if instance.is_vector_scheduling else "sym"
     builder = _approx_builder(config, instance, default)
-    opt_mode = _parse_opt_mode(_get(config, "opt", "auto:1.0"))
-    theta = float(_get(config, "theta", 8.0))
+    opt_mode = _parse_opt_mode(_get(config, "opt", "auto:1.0", str))
+    theta = _get(config, "theta", 8.0, float)
 
     def run(seed: int) -> lb.LbTrace:
         return lb.run_greedy(instance, builder, opt_mode, seed=seed, theta=theta)
@@ -273,11 +310,14 @@ def run_experiment(config: dict) -> dict:
     the configured regression bound.  With ``out`` set, the per-seed rows go
     to that CSV and the summary next to it as ``<out>.summary.json``.
     """
-    problem = config.get("problem")
+    problem = _get(config, "problem", None, str)
     seeds = _expand_seeds(config)
+    jobs = _get(config, "jobs", 1, int)
+    bound = _get(config, "max_ratio", None, float)
+    out = _get(config, "out", None, str)
     if problem in ("lb", "vs"):
         instance, opt_mode, run = greedy_runner(config)
-        benchmark = _get(config, "benchmark")
+        benchmark = _get(config, "benchmark", None, float)
         if benchmark is None:
             if instance.k**instance.T <= lb.BRUTE_FORCE_CAP:
                 benchmark, _ = lb.brute_force_opt(instance)
@@ -289,18 +329,19 @@ def run_experiment(config: dict) -> dict:
             final = run(seed).final_norm
             return [seed, final, benchmark, _ratio(final, benchmark)]
     elif problem in ("bwk", "bvc"):
-        instance = bd.read_bandit_instance(config["instance"])
+        instance = bd.read_bandit_instance(_get(config, "instance", MISSING, str))
         builder = _approx_builder(config, instance, "softmax" if instance.norm.kind == "linf" else "sym")
         if problem == "bvc":
             _, bench, _ = bd.benchmark_fixed_bvc(instance)
-            eps = float(_get(config, "epsilon", 1.0 / max(bench, 1.0)))
+            eps = _get(config, "epsilon", 1.0 / max(bench, 1.0), float)
         else:
             _, bench, _ = bd.benchmark_fixed_bwk(instance)
-            opt_in = float(_get(config, "opt", bench))
+            opt_in = _get(config, "opt", bench, float)
             if not (opt_in > 0 and math.isfinite(opt_in)):
                 raise ValueError(f"bwk opt (the benchmark when --opt is unset) must be positive "
                                  f"and finite, got {opt_in!r}")
-            allow_small_budget = bool(_get(config, "allow_small_budget", False))
+            allow_small_budget = _get(config, "allow_small_budget", False, bool)
+            eps = _get(config, "epsilon", None, float)
         header = ["seed", "total_reward", "final_norm_cost", "stopped_at", "benchmark_value", "ratio"]
 
         def one(seed: int) -> list:
@@ -309,23 +350,22 @@ def run_experiment(config: dict) -> dict:
                 tr = bd.bvc_run(instance, builder(instance.d, eps, psi_seed), seed=seed)
                 value = tr.final_norm
             else:
-                eps_k = _get(config, "epsilon")
+                eps_k = eps
                 if eps_k is None:
                     probe = builder(instance.d, 1.0, psi_seed).meta
                     eps_k = (probe.alpha + probe.gamma) / opt_in
-                psi = builder(instance.d, float(eps_k), psi_seed)
+                psi = builder(instance.d, eps_k, psi_seed)
                 tr = bd.bwk_run(instance, psi, opt_in, seed=seed, allow_small_budget=allow_small_budget)
                 value = tr.total_reward
             return [seed, tr.total_reward, tr.final_norm, tr.stopped_at, bench, _ratio(value, bench)]
     else:
         raise ValueError(f"unknown problem {problem!r}")
 
-    rows = _parallel(one, seeds, int(_get(config, "jobs", 1)))
-    summary = _summarize(config, [row[-1] for row in rows])
-    out = _get(config, "out")
+    rows = _parallel(one, seeds, jobs)
+    summary = _summarize(problem, bound, [row[-1] for row in rows])
     if out:
         write_csv(out, header, rows)
-        dump_json(_summary_path(out), summary)
+        dump_json(os.path.splitext(out)[0] + ".summary.json", summary)
     return summary
 
 
@@ -339,62 +379,46 @@ def _ratio(value: float, benchmark: float) -> float:
 
 
 def run_verify_config(config: dict) -> vf.CheckReport:
-    dim = int(config.get("dim", 16))
-    epsilon = float(config.get("epsilon", 1.0))
-    samples = int(config.get("samples", 100_000))
-    seed = int(config.get("seed", 0))
-    trials = int(config.get("trials", 1000))
-    norm = normalize_spec(parse_norm_spec(config.get("norm", "linf"), dim=dim))
+    dim = _get(config, "dim", 16, int)
+    epsilon = _get(config, "epsilon", 1.0, float)
+    seed = _get(config, "seed", 0, int)
+    trials = _get(config, "trials", 1000, int)
+    norm = normalize_spec(parse_norm_spec(_get(config, "norm", "linf", str), dim=dim))
     approx = build_approx(
-        config.get("approx", "softmax"), dim, epsilon,
-        samples=samples, seed=derive_seed(seed, "approx"), norm=norm,
+        _get(config, "approx", "softmax", str), dim, epsilon,
+        samples=_get(config, "samples", 100_000, int), seed=derive_seed(seed, "approx"), norm=norm,
     )
-    check = config.get("check", "stability")
+    check = _get(config, "check", "stability", str)
+    step_cap = _get(config, "step_cap", 1.0 / epsilon, float)  # epsilon > 0 once built
+    horizon = _get(config, "horizon", 50, int)
     if check == "stability":
         return vf.check_gradient_stability(
-            approx, norm,
-            delta=config.get("delta"),
-            trials=trials,
-            y_cap=float(config.get("y_cap", 1.0)),
-            seed=seed,
+            approx, norm, delta=_get(config, "delta", None, float), trials=trials,
+            y_cap=_get(config, "y_cap", 1.0, float), seed=seed,
         )
     if check == "sandwich":
         return vf.check_sandwich(approx, norm, trials=trials, seed=seed)
     if check == "smoothgame":
         params = vf.SmoothGameParams(
-            lam=float(config.get("lam", 2.0)),
-            mu=float(config.get("mu", 0.5)),
-            horizon=int(config.get("horizon", 50)),
-            step_cap=float(config.get("step_cap", 1.0 / epsilon)),
+            _get(config, "lam", 2.0, float), _get(config, "mu", 0.5, float), horizon, step_cap,
         )
         return vf.check_smooth_game(approx, params, trials=trials, norm=norm, seed=seed)
     if check == "jensen":
         return vf.check_converse_jensen(
-            approx,
-            float(config.get("factor", math.e)),
-            float(config.get("step_cap", 1.0 / epsilon)),
-            trials=trials,
-            horizon=int(config.get("horizon", 50)),
-            norm=norm,
-            seed=seed,
+            approx, _get(config, "factor", math.e, float), step_cap,
+            trials=trials, horizon=horizon, norm=norm, seed=seed,
         )
     if check == "structure":
         return vf.check_structure(approx, trials=trials, seed=seed)
     raise ValueError(f"unknown check {check!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _expand_seeds(config: dict) -> list[int]:
     """Run seeds: ``seeds`` is a count of seeds derived from ``seed``, or a list of seeds."""
-    seeds = _get(config, "seeds", 1)
-    if _is_int(seeds) and seeds >= 1:
-        return [derive_seed(int(_get(config, "seed", 0)), "run", i) for i in range(seeds)]
-    if isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds):
-        return seeds
-    raise ValueError(f"seeds must be a count >= 1 or a non-empty list of integers, got {seeds!r}")
+    seeds = _get(config, "seeds", 1, "seeds")
+    if _is_int(seeds):
+        return [derive_seed(_get(config, "seed", 0, int), "run", i) for i in range(seeds)]
+    return seeds
 
 
 def _parallel(fn, items, jobs: int):
@@ -404,12 +428,11 @@ def _parallel(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _summarize(config: dict, ratios: list[float]) -> dict:
+def _summarize(problem: str, bound: float | None, ratios: list[float]) -> dict:
     arr = np.asarray(ratios, dtype=float)
-    bound = config.get("max_ratio")
-    passed = bool(bound is None or (arr <= float(bound)).all())
+    passed = bool(bound is None or (arr <= bound).all())
     return {
-        "problem": config.get("problem"),
+        "problem": problem,
         "runs": len(ratios),
         "mean_ratio": float(arr.mean()),
         "std_ratio": float(arr.std(ddof=1)) if len(ratios) > 1 else 0.0,
@@ -417,8 +440,3 @@ def _summarize(config: dict, ratios: list[float]) -> dict:
         "max_ratio_bound": bound,
         "passed": passed,
     }
-
-
-def _summary_path(out: str) -> str:
-    root, _ = os.path.splitext(out)
-    return root + ".summary.json"

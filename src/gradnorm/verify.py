@@ -8,8 +8,9 @@ paired-sample slack.  These checks stand in for analytic proofs: declared
 metadata that fails here is wrong, not unlucky.
 
 Every check keeps its own trial body (random streams, draw order, margin
-formulas) and feeds each margin to one ``_Tally``, which counts violations
-and keeps the worst margin with its tolerance and witness.  A report's
+formulas) and feeds each margin to one ``_Tally``, which refuses fewer than
+one trial (no trial is no evidence), counts violations and keeps the worst
+margin with its tolerance and witness.  A report's
 ``tolerance`` is the tolerance applied at the worst margin for the
 gradient-stability and sandwich checks (``abs_tol``, or three standard
 errors where larger), ``abs_tol`` for the smooth-game and structure checks,
@@ -59,7 +60,10 @@ class CheckReport:
 class _Tally:
     """Violation count, and the worst margin with its tolerance and witness."""
 
-    def __init__(self, tolerance: float):
+    def __init__(self, tolerance: float, trials: int):
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials!r}")
+        self.trials = trials
         self.violations = 0
         self.worst = math.inf
         self.tolerance = tolerance
@@ -74,11 +78,11 @@ class _Tally:
             self.tolerance = tol
             self.witness = witness()
 
-    def report(self, name: str, trials: int, seed: int, extra: dict | None = None,
+    def report(self, name: str, seed: int, extra: dict | None = None,
                tolerance: float | None = None) -> CheckReport:
         return CheckReport(
             name=name,
-            trials=trials,
+            trials=self.trials,
             violations=self.violations,
             worst_margin=self.worst,
             witness=self.witness,
@@ -192,6 +196,7 @@ def check_gradient_stability(
         i = int(np.argmin(margin))
         return bool((margin < -tol).any()), float(margin[i]), float(tol[i]), i, x, y, coeff
 
+    tally = _Tally(abs_tol, trials)
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -200,11 +205,10 @@ def check_gradient_stability(
     else:
         results = [one_trial(t) for t in range(trials)]
 
-    tally = _Tally(abs_tol)
     for t, (bad, margin_min, tol_min, i, x, y, coeff) in enumerate(results):
         tally.add(margin_min, tol_min, violated=bad,
                   witness=lambda: {"x": x, "y": y, "coordinate": i, "coeff": coeff, "trial": t})
-    return tally.report("gradient-stability", trials, seed,
+    return tally.report("gradient-stability", seed,
                         {"delta": dlt, "stability_epsilon": eps_stab, "y_cap": y_cap})
 
 
@@ -228,7 +232,7 @@ def check_sandwich(
     additive = g / meta.epsilon
     low = meta.lower_scale
 
-    tally = _Tally(abs_tol)
+    tally = _Tally(abs_tol, trials)
     for t in range(trials):
         rng = derive_rng(seed, "sandwich", t)
         x = _sample_point(rng, approx.dim, meta.epsilon)
@@ -240,7 +244,7 @@ def check_sandwich(
         for margin, side in ((lower_margin, "lower"), (upper_margin, "upper")):
             tally.add(margin, tol,
                       lambda: {"x": x, "side": side, "value": v, "norm": n, "trial": t})
-    return tally.report("sandwich", trials, seed, {"alpha": a, "gamma": g, "lower_scale": low})
+    return tally.report("sandwich", seed, {"alpha": a, "gamma": g, "lower_scale": low})
 
 
 def _increasing_sequences(
@@ -283,7 +287,7 @@ def check_smooth_game(
 
     psi0 = approx.value(np.zeros(dim))
     rows = []
-    tally = _Tally(abs_tol)
+    tally = _Tally(abs_tol, trials)
     for t in range(trials):
         rng = derive_rng(seed, "smoothgame", t)
         steps_star = _increasing_sequences(rng, T, dim, params.step_cap, norm_of)
@@ -310,7 +314,7 @@ def check_smooth_game(
         if idx.size:
             feasible.append((float(lams[idx[0]]), float(mu)))
     best = min(feasible, key=lambda p: p[0] / (1.0 - p[1])) if feasible else None
-    return tally.report("smooth-game", trials, seed, {
+    return tally.report("smooth-game", seed, {
         "lam": params.lam,
         "mu": params.mu,
         "minimal": {"lam": best[0], "mu": best[1], "score": best[0] / (1.0 - best[1])}
@@ -350,7 +354,7 @@ def check_converse_jensen(
         trials = len(sequences)
 
     min_factor = 1.0
-    tally = _Tally(tol)
+    tally = _Tally(tol, trials)
     for t in range(trials):
         if sequences is not None:
             steps = np.asarray(sequences[t], dtype=float)
@@ -374,7 +378,7 @@ def check_converse_jensen(
         if rise > factor_bound * grad_sum + scale_tol:  # counted, but not a margin
             tally.violations += 1
     return tally.report(
-        "converse-jensen", trials, seed,
+        "converse-jensen", seed,
         {"minimal_factor": min_factor, "factor_bound": factor_bound, "step_cap": step_cap},
         tolerance=tol,
     )
@@ -389,7 +393,7 @@ def check_structure(
 ) -> CheckReport:
     """Monotonicity, midpoint convexity and subadditivity on random probes."""
     dim = approx.dim
-    tally = _Tally(abs_tol)
+    tally = _Tally(abs_tol, trials)
     for t in range(trials):
         rng = derive_rng(seed, "structure", t)
         x = _sample_point(rng, dim, approx.meta.epsilon)
@@ -403,4 +407,4 @@ def check_structure(
         }
         for kind, margin in checks.items():
             tally.add(margin, scale_tol, lambda: {"x": x, "y": y, "kind": kind, "trial": t})
-    return tally.report("structure", trials, seed, tolerance=abs_tol)
+    return tally.report("structure", seed, tolerance=abs_tol)

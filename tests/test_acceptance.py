@@ -61,19 +61,19 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 # --- frozen first-build baselines (tools/freeze_baselines.py) -------------------
 
 COMPOSITION_CONSTANTS = {
-    "ordered-0": (1.8844698365301449, 2.566876127366053),
-    "ordered-1": (1.890526832128416, 2.567708020601557),
-    "ordered-2": (1.9098535052675487, 2.562195521499873),
-    "ordered-3": (1.743449967592236, 2.5698226636512294),
-    "ordered-4": (1.8748207239552723, 2.5584243236146538),
-    "top-2": (2.1565028681362097, 2.5665481808814614),
-    "top-8": (2.3714170375341643, 2.570241904352501),
-    "top-32": (2.233514346542936, 2.575049862574512),
+    "ordered-0": (1.8295541235587442, 2.5661764004817575),
+    "ordered-1": (1.77501442445671, 2.5669603223216875),
+    "ordered-2": (1.8125658065126657, 2.5614200703889924),
+    "ordered-3": (1.6950173459134625, 2.569059993649746),
+    "ordered-4": (1.7492112930755819, 2.557693315861424),
+    "top-2": (2.156531525701452, 2.5657871452963095),
+    "top-8": (2.372642883866621, 2.5695126888853816),
+    "top-32": (2.162332445236789, 2.574293100960167),
 }
 
 FRONTIER_BASELINES = {
     "softmax": {"lam": 1.0, "mu": 0.0, "score": 1.0, "jensen_factor": 1.129842809040842},
-    "gstopk": {"lam": 1.0, "mu": 0.0, "score": 1.0, "jensen_factor": 1.1585226602299548},
+    "gstopk": {"lam": 1.0, "mu": 0.0, "score": 1.0, "jensen_factor": 1.1503190283804423},
 }
 
 GREEDY_RATIO_BASELINES = {

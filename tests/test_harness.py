@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import MISSING
 
 import numpy as np
 import pytest
 
 from gradnorm.harness import (
     GeneratorSpec,
+    _get,
     atomic_write_text,
     dump_json,
     generate,
@@ -408,12 +410,12 @@ class TestNonFiniteInput:
         assert proc.stdout == ""
 
     def test_non_finite_result_is_not_written(self):
-        # no trials leave the worst margin at +inf, which JSON cannot carry
+        # no trials would leave the worst margin at +inf: the check refuses them
         proc = run_cli("verify", "--approx", "softmax", "--dim", "4", "--check",
                        "structure", "--trials", "0", "--samples", "100")
         assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert "not JSON compliant" in proc.stderr
-        assert "Infinity" not in proc.stdout
+        assert "error: trials must be >= 1, got 0" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestOutOfContractInput:
@@ -534,7 +536,10 @@ class TestOutOfContractInput:
         proc = run_cli("bwk", "run", "--instance", self.bandit_file(tmp_path, rows_kept=30),
                        "--allow-small-budget", *extra, "--out", out)
         assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert "must be positive and finite, got" in proc.stderr and "bwk opt" in proc.stderr
+        if extra[1] in ("inf", "nan"):  # refused by the config reader, before the opt check
+            assert f"error: opt must be a finite number, got {extra[1]}" in proc.stderr
+        else:
+            assert "must be positive and finite, got" in proc.stderr and "bwk opt" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         assert not os.path.exists(out)
 
@@ -559,5 +564,117 @@ class TestOutOfContractInput:
         proc = run_cli("lb", "run", "--instance", path, "--approx", "softmax",
                        "--opt", opt, "--theta", theta)
         assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert "theta must be positive and finite, got" in proc.stderr
+        if theta in ("inf", "nan"):  # refused by the config reader, before run_greedy
+            assert f"error: theta must be a finite number, got {theta}" in proc.stderr
+        else:
+            assert "theta must be positive and finite, got" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Small lb, bvc and bwk instances, and the directory they live in."""
+        paths = {"tmp": str(tmp_path)}
+        for problem, sizes in (("lb", {"m": 3, "k": 2, "T": 4}), ("bvc", {"n": 3, "d": 2, "T": 30}),
+                               ("bwk", {"n": 3, "d": 2, "T": 30, "budget": 20.0})):
+            paths[problem] = str(tmp_path / f"{problem}.jsonl")
+            generate(GeneratorSpec(problem=problem, seed=3, **sizes), paths[problem])
+        return paths
+
+    VERIFY = ("verify", "--dim", "4", "--trials", "5", "--samples", "100", "--check", "structure")
+
+    @pytest.mark.parametrize("argv,config,key", [
+        (("bvc", "run", "--instance", "{bvc}"), {"approx": 5}, "approx"),
+        (("gen", "--problem", "vs", "--out", "{tmp}/x.jsonl"), {"inner": 5}, "inner"),
+        (("lb", "run", "--instance", "{lb}", "--seeds", "2"), {"out": 5}, "out"),
+        (("lb", "run", "--instance", "{lb}"), {"instance": 0}, "instance"),
+        (VERIFY, {"dim": 16.7}, "dim"),
+        (VERIFY, {"seed": 3.0}, "seed"),
+        (("bwk", "run", "--instance", "{bwk}"), {"allow_small_budget": "false"},
+         "allow_small_budget"),
+        (("lb", "run", "--instance", "{lb}", "--approx", "softmax", "--seeds", "2"),
+         {"max_ratio": "2"}, "max_ratio"),
+        (("gen", "--problem", "lb", "--scale", "nan", "--out", "{tmp}/x.jsonl"), None, "scale"),
+        (("lb", "run", "--instance", "{lb}", "--approx", "softmax", "--max-ratio", "nan"), None,
+         "max_ratio"),
+        ((*VERIFY, "--epsilon", "nan"), None, "epsilon"),
+        ((*VERIFY, "--epsilon", "inf"), None, "epsilon"),
+        ((*VERIFY[:3], "--trials", "0"), None, "trials"),
+        (("gen", "--problem", "bwk", "--budget", "-3", "--out", "{tmp}/x.jsonl"), None, "budget"),
+    ], ids=["approx-5", "inner-5", "out-5", "instance-0", "dim-16.7", "seed-3.0",
+            "allow-small-budget-string", "max-ratio-string", "scale-nan", "max-ratio-nan",
+            "epsilon-nan", "epsilon-inf", "trials-0", "budget-negative"])
+    def test_config_entry_out_of_contract(self, files, argv, config, key):
+        argv = [a.format(**files) for a in argv]
+        if config is not None:
+            path = os.path.join(files["tmp"], "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv += ["--config", path]
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert f"error: {key} must be" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not os.path.exists(os.path.join(files["tmp"], "x.jsonl"))
+
+    @pytest.mark.parametrize("argv,config", [
+        (("verify", "--trials", "5", "--samples", "100", "--check", "structure"), {"dim": None}),
+        (("verify", "--dim", "4", "--samples", "100", "--check", "structure"), {"trials": None}),
+        (("gen", "--problem", "lb", "--seed", "2", "--out", "{tmp}/x.jsonl"), {"m": None}),
+    ], ids=["verify-dim", "verify-trials", "gen-m"])
+    def test_null_entry_is_the_default(self, files, argv, config):
+        argv = [a.format(**files) for a in argv]
+        path = os.path.join(files["tmp"], "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        runs = []
+        for extra in ([], ["--config", path]):
+            proc = run_cli(*argv, *extra)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            out = os.path.join(files["tmp"], "x.jsonl")
+            runs.append((proc.stdout, open(out).read() if os.path.exists(out) else None))
+        assert runs[0] == runs[1]
+
+
+class TestConfigReader:
+    """``harness._get``: one rule per kind for every config entry."""
+
+    @pytest.mark.parametrize("value,kind,expected", [
+        (None, int, "default"), (3, int, 3), (3, float, 3.0), (2.5, float, 2.5),
+        ("sym", str, "sym"), (False, bool, False), ([1, 2], "seeds", [1, 2]),
+        ("linf,l1", "norms", "linf,l1"), (["linf"], "norms", ["linf"]),
+    ])
+    def test_accepts(self, value, kind, expected):
+        got = _get({"key": value}, "key", "default", kind)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("value,kind", [
+        (3.0, int), (True, int), ("3", int), (True, float), (math.nan, float), (math.inf, float),
+        (10**400, float), ("1.0", float), (5, str), ("false", bool), (0, bool), (0, "seeds"),
+        ([], "seeds"), ([1.0], "seeds"), (5, "norms"),
+    ])
+    def test_refuses(self, value, kind):
+        with pytest.raises(ValueError, match=r"^key must be .*, got "):
+            _get({"key": value}, "key", None, kind)
+
+    def test_missing_required_key(self):
+        with pytest.raises(ValueError, match="instance is required"):
+            _get({"instance": None}, "instance", MISSING, str)
+
+    def test_generator_spec_from_config(self):
+        spec = GeneratorSpec.from_config({"problem": "vs", "m": None, "inner": "linf,l1", "r": 2})
+        assert spec == GeneratorSpec(problem="vs", inner=["linf", "l1"], r=2)
+        assert GeneratorSpec.from_config({"problem": "vs", "inner": ["linf", "l1"], "r": 2}) == spec
+
+    def test_generator_budget(self):
+        assert GeneratorSpec(problem="bwk", budget=0.0).budget == 0.0
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            GeneratorSpec(problem="bwk", budget=-3.0)
+
+    def test_integer_benchmark_and_bound_are_written_as_floats(self, tmp_path):
+        path = str(tmp_path / "lb.jsonl")
+        generate(GeneratorSpec(problem="lb", m=3, k=2, T=4, seed=1), path)
+        out = str(tmp_path / "res.csv")
+        summary = run_experiment({"problem": "lb", "instance": path, "approx": "softmax",
+                                  "seeds": 1, "benchmark": 3, "max_ratio": 2, "out": out})
+        assert open(out).read().splitlines()[1].split(",")[2] == "3.0"
+        assert summary["max_ratio_bound"] == 2.0 and type(summary["max_ratio_bound"]) is float

@@ -233,3 +233,27 @@ class TestStructure:
         ):
             rep = check_structure(approx, trials=150, seed=22)
             assert rep.passed, (approx, rep.worst_margin)
+
+
+
+class TestTrialCount:
+    """No trial is no evidence: every check refuses fewer than one."""
+
+    CHECKS = {
+        "stability": lambda a, n, t: check_gradient_stability(a, n, trials=t),
+        "sandwich": lambda a, n, t: check_sandwich(a, n, trials=t),
+        "smoothgame": lambda a, n, t: check_smooth_game(a, SmoothGameParams(2.0, 0.5, 5, 1.0),
+                                                        trials=t, norm=n),
+        "jensen": lambda a, n, t: check_converse_jensen(a, math.e, 1.0, trials=t, norm=n),
+        "structure": lambda a, n, t: check_structure(a, trials=t),
+    }
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_refused(self, name, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            self.CHECKS[name](SoftmaxApprox(4, 1.0), normalize_spec(linf(4)), trials)
+
+    def test_jensen_without_sequences(self):
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            check_converse_jensen(SoftmaxApprox(4, 1.0), math.e, 1.0, sequences=[])

@@ -118,6 +118,18 @@ COMMANDS = [
                          "--opt", "0"], None),
     ("usage-lb-theta-0", ["lb", "run", "--instance", "lb.jsonl", "--approx", "softmax",
                           "--theta", "0"], None),
+    ("verify-config-null", ["verify", *VERIFY, "--check", "structure", "--out", "null.json"],
+     {"dim": None}),
+    ("gen-config-null", ["gen", "--problem", "lb", "--seed", "42", "--out", "lb-null.jsonl"],
+     {"m": None}),
+    ("usage-config-approx-int", ["bvc", "run", "--instance", "bvc.jsonl"], {"approx": 5}),
+    ("usage-config-bool-string", ["bwk", "run", "--instance", "bwk-small.jsonl"],
+     {"allow_small_budget": "false"}),
+    ("usage-verify-epsilon-nan", ["verify", *VERIFY, "--check", "structure", "--epsilon", "nan"],
+     None),
+    ("usage-verify-trials-0", ["verify", *VERIFY, "--check", "structure", "--trials", "0"], None),
+    ("usage-gen-budget-negative", ["gen", "--problem", "bwk", "--budget", "-3",
+                                   "--out", "bwk-negative.jsonl"], None),
 ]
 
 
