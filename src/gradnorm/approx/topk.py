@@ -21,23 +21,32 @@ Gradients and the paired margins of the stability check count, per
 coordinate, the samples whose top K_s contains it, in a float32 kernel;
 counts stay exact (exactly K_s coordinates per sample, ties broken by value
 then lowest index).  A coordinate is a member when z >= the K_s-th largest
-entry of z = x + nu_s.  The kernel is coordinate-major: z is a (d, S) array
-with one length-S row per coordinate, its samples stored in rank order, and
-the thresholds come from a sorting network over those rows, Batcher's
-odd-even merge sort pruned to d wires (63 comparators at d = 16) and to the
-sorted rows some rank needs.  A comparator is one np.minimum and one
+entry of z = x + nu_s.  The kernel is coordinate-major and blocked: the
+samples are stored in rank order and cut into blocks of 24576, and a block's
+z is a (d, n) array with one length-n row per coordinate.  Its thresholds come
+from a sorting network over those rows, Batcher's odd-even merge sort pruned
+to d wires (63 comparators at d = 16) and to the sorted rows that the ranks
+present in the block need: a block of rank-1 samples needs only the maximum
+(15 comparators at d = 16).  A comparator is one np.minimum and one
 np.maximum over whole rows into a pool of scratch rows, and the network
 moves row indices, not data.  Each rank's threshold is then one slice of
-sorted row d - K, members are one >= over the whole array, and counts are
-one np.count_nonzero per row.  ``gradient`` and ``pair_margin_stats`` order
-an infinity like any other value, but a NaN in x or y, or one made by adding
-+inf to -inf, raises ValueError, since the network would spread it to every
-row it meets; only non-finite input pays for that test.  Against a row sort
-of the (S, d) layout, on one core of a 2-vCPU Xeon VM: the paired kernel at
-S = 100k takes 10-12 ms a call against 34-43 ms at d = 16, and about 94
-against 82-94 ms at d = 64; a gradient at S = 2000, d = 64 takes about three
-times as long (1.5 against 0.5 ms), since each of the network's row steps
-(up to 543 at d = 64) is a separate numpy call.
+sorted row d - K, members are one >= over the block, and counts are one
+np.count_nonzero per row, added as integers over the blocks, so every
+returned float comes from the same integers as an unblocked count.  A
+block's z, pool rows, thresholds and two masks are views of one grow-only
+buffer per thread, shared by all instances and cached per (d, n, pool
+size): 4.1 MB at d = 16 and 16 MB at d = 64, where (d, S) buffers at
+S = 100k took 17 and 65 MB per instance and thread.  S <= 24576 runs as
+one block.  ``gradient`` and
+``pair_margin_stats`` order an infinity like any other value, but a NaN in
+x or y, or one made by adding +inf to -inf, raises ValueError, since the
+network would spread it to every row it meets; only non-finite input pays
+for that test.  On one core of a 2-vCPU Xeon VM, the paired kernel at
+S = 100k takes about 5 ms a call at d = 16 (9-10 ms unblocked, 34-43 ms
+for a row sort of the (S, d) layout), and 41-54 ms at d = 64 (69-75 ms
+unblocked, 82-94 ms for the row sort).  A gradient at S = 2000, d = 64 is
+one block and takes about 0.8 ms, mostly call overhead: each of the
+network's row steps (up to 543 at d = 64) is a separate numpy call.
 
 The value kernel computes every sample's top-K_s sum in float64, adding the
 K_s largest entries of x + nu_s one at a time, largest first: the order of a
@@ -65,6 +74,23 @@ __all__ = ["TopKApprox"]
 
 _SCRATCH_FLOATS = 1 << 17  # float64 value-kernel scratch per thread: 1 MiB
 _value_scratch = threading.local()
+# membership-kernel samples per block.  Half as many run one thread about
+# 10% faster, but two threads on one instance (verify's jobs = 2) then run
+# slower than with no blocks at all: each row step is a numpy call that
+# hands the interpreter lock to the other thread, and shorter rows make
+# more of them.
+_BLOCK_SAMPLES = 24576
+
+
+class _BlockScratch(threading.local):
+    """One membership-kernel buffer per thread, grow-only, and its views."""
+
+    def __init__(self):
+        self.buf = np.empty(0, dtype=np.uint8)
+        self.views = {}
+
+
+_block_scratch = _BlockScratch()
 
 
 def _scratch(n: int) -> np.ndarray:
@@ -73,6 +99,33 @@ def _scratch(n: int) -> np.ndarray:
     if buf is None or buf.shape[0] < n:
         buf = _value_scratch.buf = np.empty(max(n, _SCRATCH_FLOATS))
     return buf
+
+
+class _BlockViews(NamedTuple):
+    z: np.ndarray  # (d, n) float32: one block of x + noise
+    rows: list[np.ndarray]  # z's rows, then the network's pool rows
+    thr: np.ndarray  # (n,) float32: each sample's threshold
+    masks: np.ndarray  # (2, d, n) bool: memberships at x and at x + y
+
+
+def _block_views(d: int, n: int, pool: int) -> _BlockViews:
+    """This thread's membership-kernel views for blocks of ``n`` samples.
+
+    All views share one grow-only byte buffer per thread, whatever the
+    instance; they are cached per (d, n, pool) and dropped when it grows.
+    """
+    tls = _block_scratch
+    got = tls.views.get((d, n, pool))
+    if got is None:
+        floats = (d + pool + 1) * n
+        nbytes = 4 * floats + 2 * d * n
+        if tls.buf.shape[0] < nbytes:
+            tls.buf = np.empty(nbytes, dtype=np.uint8)
+            tls.views.clear()
+        f32 = tls.buf[: 4 * floats].view(np.float32).reshape(d + pool + 1, n)
+        masks = tls.buf[4 * floats : nbytes].view(bool).reshape(2, d, n)
+        got = tls.views[(d, n, pool)] = _BlockViews(f32[:d], list(f32[:-1]), f32[-1], masks)
+    return got
 
 
 def _sample_ranks(rng: np.random.Generator, k: int, d: int, samples: int) -> np.ndarray:
@@ -162,12 +215,19 @@ def _network_plan(d: int, outputs) -> tuple[list[tuple[int, int, int, int]], lis
     return steps, wire, pool
 
 
+class _Block(NamedTuple):
+    lo: int  # the block is samples lo:hi of the kernel's sample order
+    hi: int
+    steps: list[tuple[int, int, int, int]]  # network row steps, see _network_plan
+    thr_slices: list[tuple[int, int, int]]  # block samples lo:hi take their threshold from row
+    ranks_total: int  # members in the block when no sample ties at its threshold
+
+
 class _MembershipPlan(NamedTuple):
     order: np.ndarray  # stable argsort of the ranks: the kernel's sample order
     ranks: np.ndarray  # the ranks in that order, ascending
-    steps: list[tuple[int, int, int, int]]  # network row steps, see _network_plan
-    pool_rows: int
-    thr_slices: list[tuple[int, int, int]]  # samples lo:hi take their threshold from row
+    pool_rows: int  # the most pool rows any block's steps use
+    blocks: list[_Block]
 
 
 class TopKApprox(GradStableApprox):
@@ -188,9 +248,7 @@ class TopKApprox(GradStableApprox):
         self.ranks = _sample_ranks(rng, k, dim, samples)
         self.noise = rng.exponential(scale=1.0 / (k * epsilon), size=(samples, dim))
         self._noise32 = None
-        self._ranks_total = int(self.ranks.sum())
         self._value_chunks = self._chunk_plan()
-        self._scratch = threading.local()  # per-thread kernel buffers
         # mean of min(K, k): value(x) >= (mean_capped_rank / k) * topk(x) pointwise
         self.mean_capped_rank = float(np.minimum(self.ranks, k).mean())
         # mean of ceil(K / k): value(x) <= that * topk(x) + value(0) pointwise
@@ -220,10 +278,16 @@ class TopKApprox(GradStableApprox):
 
     def gradient(self, x) -> np.ndarray:
         x32 = np.asarray(x, dtype=np.float32)
-        z = self._perturbed(x32)
-        if not np.isfinite(x32).all():
-            _refuse_nan(z)
-        _, counts = self._membership(z, 0)
+        check = not np.isfinite(x32).all()
+        noise32 = self._noise_f32()
+        plan = self._plan
+        counts = 0
+        for blk in plan.blocks:
+            v = _block_views(self.dim, blk.hi - blk.lo, plan.pool_rows)
+            np.add(noise32[:, blk.lo : blk.hi], x32[:, None], out=v.z)
+            if check:
+                _refuse_nan(v.z)
+            counts = counts + self._membership(v, blk, 0)[1]
         return counts / self.samples
 
     def pair_margin_stats(self, x, y, w1: float, w0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,17 +299,27 @@ class TopKApprox(GradStableApprox):
         """
         x32 = np.asarray(x, dtype=np.float32)
         y32 = np.asarray(y, dtype=np.float32)
-        z = self._perturbed(x32)
-        mem0, c0 = self._membership(z, 0)
-        np.add(z, y32[:, None], out=z)  # (x + noise) + y
-        if not (np.isfinite(x32).all() and np.isfinite(y32).all()):
-            _refuse_nan(z)  # a NaN of x + noise stays NaN in (x + noise) + y
-        mem1, c1 = self._membership(z, 1)
-        np.logical_and(mem0, mem1, out=mem0)
+        check = not (np.isfinite(x32).all() and np.isfinite(y32).all())
+        noise32 = self._noise_f32()
+        plan = self._plan
+        c0 = c1 = c10 = 0  # integer member counts, summed over the blocks
+        for blk in plan.blocks:
+            v = _block_views(self.dim, blk.hi - blk.lo, plan.pool_rows)
+            z = v.z
+            np.add(noise32[:, blk.lo : blk.hi], x32[:, None], out=z)
+            mem0, counts = self._membership(v, blk, 0)
+            c0 = c0 + counts
+            np.add(z, y32[:, None], out=z)  # (x + noise) + y
+            if check:
+                _refuse_nan(z)  # a NaN of x + noise stays NaN in (x + noise) + y
+            mem1, counts = self._membership(v, blk, 1)
+            c1 = c1 + counts
+            np.logical_and(mem0, mem1, out=mem0)
+            c10 = c10 + self._counts(mem0)
         n = self.samples
         m0 = c0 / n
         m1 = c1 / n
-        m10 = self._counts(mem0) / n
+        m10 = c10 / n
         mean = w1 * m1 - w0 * m0
         second = w1 * w1 * m1 + w0 * w0 * m0 - 2.0 * w1 * w0 * m10
         var = np.maximum(second - mean * mean, 0.0)
@@ -305,17 +379,23 @@ class TopKApprox(GradStableApprox):
 
     @functools.cached_property
     def _plan(self) -> _MembershipPlan:
-        """Samples in rank order, so each rank's thresholds are one slice, and
-        the network steps that leave the sorted rows those ranks need.  Built
-        on first use: instances that only take values never need it."""
+        """Samples in rank order, cut into blocks of _BLOCK_SAMPLES, so each
+        rank's thresholds in a block are one slice; each block gets the
+        network steps that leave the sorted rows its ranks need.  Built on
+        first use: instances that only take values never need it."""
         d = self.dim
         order = np.argsort(self.ranks, kind="stable")
         ranks = self.ranks[order]
-        edges = np.searchsorted(ranks, np.arange(1, d + 2))
-        present = [r for r in range(1, d + 1) if edges[r] > edges[r - 1]]
-        steps, wire, pool_rows = _network_plan(d, [d - r for r in present])
-        thr_slices = [(int(edges[r - 1]), int(edges[r]), wire[d - r]) for r in present]
-        return _MembershipPlan(order, ranks, steps, pool_rows, thr_slices)
+        blocks, pool_rows = [], 0
+        for lo in range(0, self.samples, _BLOCK_SAMPLES):
+            hi = min(self.samples, lo + _BLOCK_SAMPLES)
+            edges = np.searchsorted(ranks[lo:hi], np.arange(1, d + 2))
+            present = [r for r in range(1, d + 1) if edges[r] > edges[r - 1]]
+            steps, wire, pool = _network_plan(d, [d - r for r in present])
+            pool_rows = max(pool_rows, pool)
+            thr_slices = [(int(edges[r - 1]), int(edges[r]), wire[d - r]) for r in present]
+            blocks.append(_Block(lo, hi, steps, thr_slices, int(ranks[lo:hi].sum())))
+        return _MembershipPlan(order, ranks, pool_rows, blocks)
 
     def _noise_f32(self) -> np.ndarray:
         """float32 (d, S) noise in rank order, built on first use from ``noise``."""
@@ -326,33 +406,24 @@ class TopKApprox(GradStableApprox):
             self._noise32 = noise32  # published whole: other threads may be reading
         return self._noise32
 
-    def _perturbed(self, x32: np.ndarray) -> np.ndarray:
-        """This thread's z buffer, filled with x + noise in float32."""
-        z = self._buffers().z
-        np.add(self._noise_f32(), x32[:, None], out=z)
-        return z
-
-    def _buffers(self):
-        """Thread-local kernel buffers; instances stay safe to share."""
-        tls = self._scratch
-        if getattr(tls, "z", None) is None:
-            S, d = self.samples, self.dim
-            tls.z = np.empty((d, S), dtype=np.float32)
-            tls.mask = [np.empty((d, S), dtype=bool), np.empty((d, S), dtype=bool)]
-            tls.rows = [*tls.z, *np.empty((self._plan.pool_rows, S), dtype=np.float32)]
-            tls.thr = np.empty(S, dtype=np.float32)
-        return tls
-
-    def _membership(self, z: np.ndarray, slot: int):
-        """(d, S) mask of the coordinates among the K_s largest of each sample
-        of this thread's z, and the member count of each coordinate."""
-        mem = self._scratch.mask[slot]
-        thr = self._network_thresholds()
-        np.greater_equal(z, thr, out=mem)
+    def _membership(self, v: _BlockViews, blk: _Block, slot: int):
+        """(d, n) mask of the coordinates among the K_s largest of each sample
+        of the block in ``v.z``, and the member count of each coordinate."""
+        rows = v.rows
+        for a, b, lo, hi in blk.steps:
+            if lo >= 0:
+                np.minimum(rows[a], rows[b], out=rows[lo])
+            if hi >= 0:
+                np.maximum(rows[a], rows[b], out=rows[hi])
+        thr = v.thr
+        for lo, hi, row in blk.thr_slices:
+            thr[lo:hi] = rows[row][lo:hi]
+        mem = v.masks[slot]
+        np.greater_equal(v.z, thr, out=mem)
         counts = self._counts(mem)
-        if counts.sum() != self._ranks_total:  # exact iff no sample ties at its threshold
-            zs, ms = z.T, mem.T  # sample-major views
-            ranks = self._plan.ranks
+        if counts.sum() != blk.ranks_total:  # exact iff no sample ties at its threshold
+            zs, ms = v.z.T, mem.T  # sample-major views
+            ranks = self._plan.ranks[blk.lo : blk.hi]
             bad = np.nonzero(ms.sum(axis=1) != ranks)[0]
             # ties at the threshold: keep the lowest-index tied coordinates
             zb = zs[bad]
@@ -364,21 +435,6 @@ class TopKApprox(GradStableApprox):
             ms[bad] = gt | keep
             counts = self._counts(mem)
         return mem, counts
-
-    def _network_thresholds(self) -> np.ndarray:
-        """Each sample's K_s-th largest entry of this thread's z, by the network."""
-        tls = self._scratch
-        rows = tls.rows
-        plan = self._plan
-        for a, b, lo, hi in plan.steps:
-            if lo >= 0:
-                np.minimum(rows[a], rows[b], out=rows[lo])
-            if hi >= 0:
-                np.maximum(rows[a], rows[b], out=rows[hi])
-        thr = tls.thr
-        for lo, hi, row in plan.thr_slices:
-            thr[lo:hi] = rows[row][lo:hi]
-        return thr
 
     def _counts(self, mem: np.ndarray) -> np.ndarray:
         """Member count of each coordinate: one fast count per contiguous row."""

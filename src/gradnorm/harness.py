@@ -139,8 +139,11 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; pick from {GENERATOR_FAMILIES}")
         if min(self.m, self.k, self.T, self.n, self.d, self.r) < 1:
             raise ValueError("all sizes must be >= 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        if self.problem in ("bwk", "bvc") and self.scale != 1.0:
+            raise ValueError(f"scale must be 1.0 for {self.problem}, whose costs lie in [0, 1], "
+                             f"got {self.scale!r}")
         if self.budget is not None and self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget!r}")
 

@@ -178,6 +178,7 @@ def run_greedy(
                 phase_seeds.append(derive_seed(seed, "phase", phase))
                 phase_epsilons.append(1.0 / guess)
                 phase_guesses.append(guess)
+                psi = None  # drop the old phase's samples before the new ones are drawn
                 psi = builder(dim, 1.0 / guess, phase_seeds[-1])
         cols = instance.columns(t)
         j, psi_vals[t] = greedy_step(psi, loads, cols)

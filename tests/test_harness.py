@@ -89,6 +89,23 @@ class TestGenerate:
             generate(GeneratorSpec(problem="lb", m=1000, k=1000, T=1000, seed=0),
                      str(tmp_path / "big.jsonl"))
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_scale_not_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            GeneratorSpec(problem="lb", scale=scale)
+
+    @pytest.mark.parametrize("problem", ["bvc", "bwk"])
+    def test_bandit_scale_refused(self, tmp_path, problem):
+        """Bandit costs lie in [0, 1], so a scale other than 1 would be ignored."""
+        GeneratorSpec(problem=problem, scale=1.0)
+        with pytest.raises(ValueError, match="scale must be 1.0"):
+            GeneratorSpec(problem=problem, scale=2.0)
+        path = tmp_path / "x.jsonl"
+        proc = run_cli("gen", "--problem", problem, "--scale", "2", "--out", str(path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "error: scale must be 1.0" in proc.stderr
+        assert "Traceback" not in proc.stderr and not path.exists()
+
 
 class TestAtomicOutputs:
     def test_no_temp_residue(self, tmp_path):

@@ -3,12 +3,13 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradnorm.approx import TopKApprox
-from gradnorm.approx.topk import _SCRATCH_FLOATS, _merge_network, _network_plan
+from gradnorm.approx.topk import _BLOCK_SAMPLES, _SCRATCH_FLOATS, _merge_network, _network_plan
 from gradnorm.norms import eval_norm, topk
 from helpers import mean_rank
 
@@ -387,6 +388,110 @@ class TestMembershipKernelBitExact:
         assert not any(th.is_alive() for th in threads)
         assert errors == []
 
+
+class TestMembershipBlocks:
+    """The membership kernel runs over blocks of _BLOCK_SAMPLES samples in
+    rank order through one scratch per thread; its outputs equal the row-sort
+    formula float for float at every block border."""
+
+    L = _BLOCK_SAMPLES
+    assert_exact = TestMembershipKernelBitExact.assert_exact
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, _BLOCK_SAMPLES + 3])
+    def test_block_borders(self, d, extra):
+        S = self.L + extra
+        rng = np.random.default_rng(80 + d + extra)
+        for k in (1, d // 2, d):
+            tk = TopKApprox(d, k, 0.5, samples=S, seed=81 + k)
+            assert len(tk._plan.blocks) == -(-S // self.L)
+            self.assert_exact(tk, rng.exponential(1.0, d), rng.exponential(0.3, d))
+
+    def test_tie_group_across_a_block_border(self):
+        d, L = 16, self.L
+        rng = np.random.default_rng(82)
+        for k in (1, 3, d):
+            tk = TopKApprox(d, k, 1.0, samples=2 * L + 3, seed=83 + k)
+            tk.noise[tk._plan.order[L - 40 : L + 40]] = 0.0  # tied samples on both sides of L
+            tk._noise32 = None  # drop the cached float32 copy
+            for x in (np.ones(d), rng.integers(0, 3, d).astype(float)):
+                self.assert_exact(tk, x, rng.integers(0, 2, d).astype(float))
+
+    def test_nan_in_a_later_block_raises(self):
+        d = 16
+        tk = TopKApprox(d, 4, 1.0, samples=2 * self.L + 3, seed=84)
+        tk.noise[tk._plan.order[-1], 5] = np.inf  # the last sample of the last block
+        tk._noise32 = None
+        x = np.random.default_rng(85).uniform(0.0, 2.0, d)
+        self.assert_exact(tk, x, np.full(d, 0.5))  # +inf alone is ordered
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                tk.gradient(np.where(np.arange(d) == 5, -np.inf, x))
+            with pytest.raises(ValueError):
+                tk.pair_margin_stats(x, np.where(np.arange(d) == 5, -np.inf, 0.5), 1.0, 0.6)
+
+    def test_instances_of_different_shapes_share_the_scratch(self):
+        """Each thread alternates instances of different (d, S, pool), so the
+        shared scratch grows and its cached views change between calls."""
+        tks = [TopKApprox(8, 1, 1.0, samples=500, seed=86),
+               TopKApprox(16, 4, 1.0, samples=self.L + 5, seed=87),
+               TopKApprox(64, 32, 1.0, samples=3000, seed=88),
+               TopKApprox(16, 16, 1.0, samples=700, seed=89)]
+        xs = [np.random.default_rng(90 + i).uniform(0.0, 3.0, tk.dim) for i, tk in enumerate(tks)]
+        ys = [np.random.default_rng(95 + i).exponential(0.3, tk.dim) for i, tk in enumerate(tks)]
+        want = [(reference_gradient(tk, x), reference_pair(tk, x, y, 1.0, 0.5))
+                for tk, x, y in zip(tks, xs, ys)]
+        errors = []
+
+        def work(offset):
+            try:
+                for rep in range(3):
+                    for j in range(len(tks)):
+                        jj = (j + offset + rep) % len(tks)
+                        g = tks[jj].gradient(xs[jj])
+                        mean, se = tks[jj].pair_margin_stats(xs[jj], ys[jj], 1.0, 0.5)
+                        wg, (wm, ws) = want[jj]
+                        if not ((g == wg).all() and (mean == wm).all() and (se == ws).all()):
+                            errors.append((offset, jj))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        work(0)  # this thread alone first
+        threads = [threading.Thread(target=work, args=(off,)) for off in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+    def test_one_call_allocates_a_bounded_scratch(self):
+        """A pair call at d = 64, S = 100k allocates one block's scratch, about
+        16 MB, not (d, S) rows and masks, about 65 MB."""
+        d = 64
+        tk = TopKApprox(d, 32, 1.0, samples=100_000, seed=91)
+        tk._noise_f32()  # instance state, built once: the plan and the float32 noise
+        x = np.random.default_rng(92).uniform(0.0, 3.0, d)
+        peak = []
+
+        def work():  # a fresh thread, so its scratch is allocated inside the trace
+            tracemalloc.start()
+            try:
+                tk.pair_margin_stats(x, np.full(d, 0.1), 1.0, 0.6)
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        th = threading.Thread(target=work)
+        th.start()
+        th.join(timeout=120)
+        assert not th.is_alive()
+        assert len(peak) == 1 and peak[0] < 24 * 2**20
 
 class TestMergeNetwork:
     @pytest.mark.parametrize("d", range(1, 17))

@@ -130,6 +130,8 @@ COMMANDS = [
     ("usage-verify-trials-0", ["verify", *VERIFY, "--check", "structure", "--trials", "0"], None),
     ("usage-gen-budget-negative", ["gen", "--problem", "bwk", "--budget", "-3",
                                    "--out", "bwk-negative.jsonl"], None),
+    ("usage-gen-bvc-scale", ["gen", "--problem", "bvc", "--scale", "2",
+                             "--out", "bvc-scale.jsonl"], None),
 ]
 
 
