@@ -37,16 +37,15 @@ block's z, pool rows, thresholds and two masks are views of one grow-only
 buffer per thread, shared by all instances and cached per (d, n, pool
 size): 4.1 MB at d = 16 and 16 MB at d = 64, where (d, S) buffers at
 S = 100k took 17 and 65 MB per instance and thread.  S <= 24576 runs as
-one block.  ``gradient`` and
-``pair_margin_stats`` order an infinity like any other value, but a NaN in
-x or y, or one made by adding +inf to -inf, raises ValueError, since the
-network would spread it to every row it meets; only non-finite input pays
-for that test.  On one core of a 2-vCPU Xeon VM, the paired kernel at
-S = 100k takes about 5 ms a call at d = 16 (9-10 ms unblocked, 34-43 ms
-for a row sort of the (S, d) layout), and 41-54 ms at d = 64 (69-75 ms
-unblocked, 82-94 ms for the row sort).  A gradient at S = 2000, d = 64 is
-one block and takes about 0.8 ms, mostly call overhead: each of the
-network's row steps (up to 543 at d = 64) is a separate numpy call.
+one block.  ``gradient`` and ``pair_margin_stats`` order an infinity like
+any other value, but a NaN in x or y, or one made by adding +inf to -inf,
+raises ValueError, since the network would spread it to every row it
+meets; only non-finite input pays for that test.  On one core of a shared 2-vCPU Xeon VM, the paired kernel
+at S = 100k takes 6-8 ms a call at d = 16 and 48-74 ms at d = 64, against
+11-14 and 92-115 ms for one unblocked pass over (d, S) buffers measured
+alongside.  A gradient at S = 2000, d = 64 is one block and takes about
+0.9 ms, mostly call overhead: each of the network's row steps (up to 543 at
+d = 64) is a separate numpy call.
 
 The value kernel computes every sample's top-K_s sum in float64, adding the
 K_s largest entries of x + nu_s one at a time, largest first: the order of a
