@@ -4,8 +4,9 @@ A surrogate is a monotone, subadditive, convex function on R_+^d together
 with declared error metadata: it must dominate ``lower_scale * ||x||``,
 stay below ``alpha * ||x|| + gamma / epsilon``, and its gradient may shrink
 coordinate-wise by at most ``exp(-stability_scale * epsilon * ||y|| - delta)``
-when the input grows by ``y``.  The verify module checks all declared values
-empirically.
+when the input grows by ``y``.  The value itself grows by at most
+``alpha * ||y||``, so the nested build reads ``alpha`` as that rate too.  The
+verify module checks all declared values empirically.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class ApproxMeta:
     alpha: float  # multiplicative error of the upper sandwich
     gamma: float  # additive error coefficient (additive term is gamma/epsilon)
     stochastic: bool = False
-    seed: int | None = None
     # exp(-stability_scale * epsilon * ||y|| - delta) is the declared gradient
     # decay; 1.0 for the closed-form surrogates, > 1 for compositions whose
     # bookkeeping accumulates scale factors.
@@ -46,9 +46,6 @@ class GradStableApprox:
 
     dim: int
     meta: ApproxMeta
-    # bound on [value(x+y) - value(x)] / ||y|| in units of the approximated
-    # norm; exact for the closed forms, per-sample for the Monte-Carlo ones
-    growth_bound: float = 1.0
 
     def value(self, x) -> float:
         raise NotImplementedError

@@ -6,13 +6,14 @@ surrogate (typically a log-sum-exp).  Values compose by evaluation, gradients
 by the chain rule, and the declared stability/error metadata accumulates
 conservatively across levels.
 
-``build_symmetric_approx`` covers any monotone symmetric norm given its
-ones-vector profile: one perturbed top-k leaf per dyadic rank 2^j, each leaf
-scaled so the smoothed maximum of the leaves dominates the norm itself and
-overshoots by at most O(log d) multiplicative plus O(log^2 d)/epsilon
-additive error.  ``build_nested_max_approx`` stacks per-resource symmetric
-builds (or shifted l-p leaves) under one more smoothed maximum for
-vector-scheduling style objectives.
+Both builds take normalized norm specs alone.  ``build_symmetric_approx``
+covers any monotone symmetric norm through its ones-vector profile: one
+perturbed top-k leaf per dyadic rank 2^j, each leaf scaled so the smoothed
+maximum of the leaves dominates the norm itself and overshoots by at most
+O(log d) multiplicative plus O(log^2 d)/epsilon additive error.
+``build_nested_max_approx`` stacks per-resource surrogates under one more
+smoothed maximum: shifted l-p leaves when every inner norm is l-p or linf,
+symmetric builds otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..norms import NormSpec, OnesProfile
+from ..norms import NormSpec, ones_profile
 from ..seeding import derive_seed
 from .base import ApproxMeta, GradStableApprox
 from .shifted_lp import ShiftedLpApprox
@@ -63,18 +64,7 @@ class Leaf(GradStableApprox):
                 raise ValueError("subset indices out of range")
         self.inner = inner
         self.scale = scale
-        m = inner.meta
-        self.meta = ApproxMeta(
-            epsilon=m.epsilon,
-            delta=m.delta,
-            alpha=m.alpha,
-            gamma=scale * m.gamma,
-            stochastic=m.stochastic,
-            seed=m.seed,
-            stability_scale=m.stability_scale,
-            lower_scale=m.lower_scale,
-        )
-        self.growth_bound = inner.growth_bound
+        self.meta = replace(inner.meta, gamma=scale * inner.meta.gamma)
 
     def _slice(self, x) -> np.ndarray:
         v = self._vec(x)
@@ -129,7 +119,6 @@ class Outer(GradStableApprox):
         children: list[GradStableApprox],
         norm: NormSpec | None = None,
         meta: ApproxMeta | None = None,
-        growth_bound: float | None = None,
     ):
         if outer.dim != len(children):
             raise ValueError(
@@ -143,11 +132,6 @@ class Outer(GradStableApprox):
         self.dim = dims.pop()
         self._norm = norm
         self.meta = meta if meta is not None else self._default_meta()
-        self.growth_bound = (
-            growth_bound
-            if growth_bound is not None
-            else outer.growth_bound * max(c.growth_bound for c in children)
-        )
 
     def _default_meta(self) -> ApproxMeta:
         om = self.outer.meta
@@ -161,7 +145,6 @@ class Outer(GradStableApprox):
             alpha=om.alpha * max(m.alpha for m in cms),
             gamma=gamma,
             stochastic=any(m.stochastic for m in cms) or om.stochastic,
-            seed=next((m.seed for m in cms if m.seed is not None), None),
             stability_scale=1.0 + max(m.stability_scale for m in cms),
             lower_scale=min(m.lower_scale for m in cms),
         )
@@ -212,26 +195,21 @@ def _dyadic_block_count(d: int) -> int:
 
 
 def build_symmetric_approx(
-    profile: OnesProfile,
-    epsilon: float,
-    samples: int = 2000,
-    seed: int = 0,
-    norm: NormSpec | None = None,
+    norm: NormSpec, epsilon: float, samples: int = 2000, seed: int = 0
 ) -> Outer:
-    """Gradient-stable surrogate of the symmetric norm with the given profile.
+    """Gradient-stable surrogate of the normalized symmetric norm ``norm``.
 
     One perturbed top-(2^j) leaf per dyadic rank, each built at the noise
-    scale matching its weight c_k/k so that every leaf's gradient decay is
-    controlled by the target norm of the increment.  Leaf scales carry a
-    calibration factor making scale * leaf(x) >= (c_k/k) * top_k(x) hold
-    exactly on the frozen samples, and the whole stack is multiplied by the
-    dyadic block count so the smoothed maximum dominates the norm itself.
+    scale matching its profile weight c_k/k so that every leaf's gradient
+    decay is controlled by the target norm of the increment.  Leaf scales
+    carry a calibration factor making scale * leaf(x) >= (c_k/k) * top_k(x)
+    hold exactly on the frozen samples, and the whole stack is multiplied by
+    the dyadic block count so the smoothed maximum dominates the norm itself.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if abs(profile.c[0] - 1.0) > 1e-12:
-        raise ValueError("profile must be normalized with c_1 = 1")
-    d = profile.dim
+    profile = ones_profile(norm)
+    d = norm.dim
     blocks = _dyadic_block_count(d)
     levels = d.bit_length() - 1  # floor(log2 d)
     children: list[Leaf] = []
@@ -243,7 +221,7 @@ def build_symmetric_approx(
         inner = TopKApprox(d, k, leaf_eps, samples=samples, seed=derive_seed(seed, "leaf", j))
         beta = 1.0 / inner.meta.lower_scale
         children.append(Leaf(inner, scale=blocks * beta * ck / k))
-        kappa_terms.append(beta * inner.mean_chunks)
+        kappa_terms.append(beta * inner.meta.alpha)
     outer = SoftmaxApprox(len(children), epsilon / blocks)
     leaf_zero = [child.value(np.zeros(d)) for child in children]
     meta = ApproxMeta(
@@ -252,66 +230,50 @@ def build_symmetric_approx(
         alpha=blocks * max(kappa_terms),
         gamma=epsilon * max(leaf_zero) + blocks * math.log(len(children)),
         stochastic=True,
-        seed=seed,
         stability_scale=1.0 + max(kappa_terms),
     )
-    return Outer(
-        outer,
-        children,
-        norm=norm,
-        meta=meta,
-        growth_bound=blocks * max(kappa_terms),
-    )
+    return Outer(outer, children, norm=norm, meta=meta)
 
 
 def build_nested_max_approx(
-    profiles: list[OnesProfile],
-    m: int,
-    epsilon: float,
-    samples: int = 2000,
-    seed: int = 0,
-    inner_norms: list[NormSpec] | None = None,
-    lp_exponents: list[float] | None = None,
+    inner_norms: list[NormSpec], m: int, epsilon: float, samples: int = 2000, seed: int = 0
 ) -> GradStableApprox:
-    """Surrogate for max-over-resources of per-resource symmetric norms.
+    """Surrogate for max-over-resources of the normalized ``inner_norms``.
 
     Input coordinates are resource-major: [i*m, (i+1)*m) holds resource i's
-    machine loads.  With ``lp_exponents`` set, resources use shifted l-p
-    leaves instead of full symmetric builds (tighter error for l-p inners).
+    machine loads.  When every inner norm is l-p or linf (p = inf), resources
+    use shifted l-p leaves, whose error is tighter than symmetric builds'.
     A single resource degenerates to the plain per-resource surrogate.
     """
-    r = len(profiles)
+    r = len(inner_norms)
     if r < 1:
-        raise ValueError("need at least one resource profile")
-    if any(p.dim != m for p in profiles):
-        raise ValueError("every resource profile must have dimension m")
+        raise ValueError("need at least one inner norm")
+    if any(s.dim != m for s in inner_norms):
+        raise ValueError("every inner norm must have dimension m")
+    lp_leaves = all(s.kind in ("lp", "linf") for s in inner_norms)
 
-    def make_child(i: int, child_seed: int) -> GradStableApprox:
-        if lp_exponents is not None:
-            return ShiftedLpApprox(m, lp_exponents[i], epsilon)
-        norm_i = inner_norms[i] if inner_norms is not None else None
-        return build_symmetric_approx(
-            profiles[i], epsilon, samples=samples, seed=child_seed, norm=norm_i
-        )
+    def make_child(spec: NormSpec, child_seed: int) -> GradStableApprox:
+        if lp_leaves:
+            return ShiftedLpApprox(m, math.inf if spec.kind == "linf" else spec.p, epsilon)
+        return build_symmetric_approx(spec, epsilon, samples=samples, seed=child_seed)
 
     if r == 1:
-        return make_child(0, seed)
+        return make_child(inner_norms[0], seed)
 
     children = []
-    for i in range(r):
-        child = make_child(i, derive_seed(seed, "resource", i))
+    for i, spec in enumerate(inner_norms):
+        child = make_child(spec, derive_seed(seed, "resource", i))
         block = np.arange(i * m, (i + 1) * m)
         children.append(Leaf(child, dim=m * r, subset=block, scale=1.0))
-    growth = max(c.growth_bound for c in children)
-    outer = SoftmaxApprox(r, epsilon / max(growth, 1.0))
     cms = [c.meta for c in children]
+    alpha = max(m_.alpha for m_ in cms)
+    outer = SoftmaxApprox(r, epsilon / max(alpha, 1.0))
     meta = ApproxMeta(
         epsilon=epsilon,
         delta=max(m_.delta for m_ in cms),
-        alpha=max(m_.alpha for m_ in cms),
-        gamma=max(m_.gamma for m_ in cms) + max(growth, 1.0) * math.log(r),
+        alpha=alpha,
+        gamma=max(m_.gamma for m_ in cms) + max(alpha, 1.0) * math.log(r),
         stochastic=any(m_.stochastic for m_ in cms),
-        seed=seed,
         stability_scale=1.0 + max(m_.stability_scale for m_ in cms),
     )
-    return Outer(outer, children, meta=meta, growth_bound=growth)
+    return Outer(outer, children, meta=meta)

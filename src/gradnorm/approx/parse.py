@@ -2,9 +2,10 @@
 
     softmax | slp:<p> | gstopk:<k> | sym | nested:<r>
 
-``sym`` derives its structure from the target norm's ones profile, ``nested``
-needs the per-resource inner norms and the machine count.  Epsilon, sample
-count and seed are orthogonal knobs supplied by the caller.
+``sym`` needs the target norm, ``nested`` the per-resource inner norms and
+the machine count; this module normalizes them, and the builders in
+``compose`` derive every structural choice from them.  Epsilon, sample count
+and seed are orthogonal knobs supplied by the caller.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..norms import NormParseError, NormSpec, normalize_spec, ones_profile
+from ..norms import NormParseError, NormSpec, normalize_spec
 from .base import GradStableApprox
 from .compose import build_nested_max_approx, build_symmetric_approx
 from .shifted_lp import ShiftedLpApprox
@@ -41,7 +42,7 @@ def parse_approx_spec(text: str) -> ApproxSpec:
             p = math.inf if rest == "inf" else float(rest)
         except ValueError:
             raise NormParseError(text, len(head) + 1, "a real exponent") from None
-        if p < 1.0:
+        if not p >= 1.0:  # NaN compares false
             raise NormParseError(text, len(head) + 1, "p >= 1")
         return ApproxSpec("slp", p=p)
     if head == "gstopk":
@@ -85,10 +86,7 @@ def build_approx(
     if spec.kind == "sym":
         if norm is None:
             raise ValueError("sym surrogate needs the target norm spec")
-        target = normalize_spec(norm)
-        return build_symmetric_approx(
-            ones_profile(target), epsilon, samples=samples, seed=seed, norm=target
-        )
+        return build_symmetric_approx(normalize_spec(norm), epsilon, samples=samples, seed=seed)
     if spec.kind == "nested":
         if inner_norms is None or machines is None:
             raise ValueError("nested surrogate needs inner norms and the machine count")
@@ -97,14 +95,5 @@ def build_approx(
         if dim != machines * spec.r:
             raise ValueError(f"nested dim must be machines*r = {machines * spec.r}, got {dim}")
         inners = [normalize_spec(s) for s in inner_norms]
-        profiles = [ones_profile(s) for s in inners]
-        if all(s.kind in ("lp", "linf") for s in inners):
-            exponents = [math.inf if s.kind == "linf" else s.p for s in inners]
-            return build_nested_max_approx(
-                profiles, machines, epsilon, samples=samples, seed=seed,
-                inner_norms=inners, lp_exponents=exponents,
-            )
-        return build_nested_max_approx(
-            profiles, machines, epsilon, samples=samples, seed=seed, inner_norms=inners
-        )
+        return build_nested_max_approx(inners, machines, epsilon, samples=samples, seed=seed)
     raise ValueError(f"unknown surrogate kind {spec.kind!r}")

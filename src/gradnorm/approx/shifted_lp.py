@@ -21,7 +21,7 @@ __all__ = ["ShiftedLpApprox"]
 
 class ShiftedLpApprox(GradStableApprox):
     def __init__(self, dim: int, p: float, epsilon: float):
-        if p < 1.0:
+        if not p >= 1.0:  # NaN compares false
             raise ValueError(f"p must be >= 1 (or inf), got {p}")
         if epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")

@@ -33,12 +33,11 @@ moves row indices, not data.  Each rank's threshold is then one slice of
 sorted row d - K, members are one >= over the block, and counts are one
 np.count_nonzero per row, added as integers over the blocks, so every
 returned float comes from the same integers as an unblocked count.  A
-block's z, pool rows, thresholds and two masks are views of one grow-only
-buffer per thread, shared by all instances and cached per (d, n, pool
-size): 4.1 MB at d = 16 and 16 MB at d = 64, where (d, S) buffers at
-S = 100k took 17 and 65 MB per instance and thread.  S <= 24576 runs as
-one block.  ``gradient`` and ``pair_margin_stats`` order an infinity like
-any other value, but a NaN in x or y, or one made by adding +inf to -inf,
+block's z, pool rows, thresholds and two masks are views of the scratch
+(below), cached per (d, n, pool size): 4.1 MB at d = 16 and 16 MB at
+d = 64, where (d, S) buffers at S = 100k took 17 and 65 MB per instance and
+thread.  S <= 24576 runs as one block.  ``gradient`` and
+``pair_margin_stats`` order an infinity like any other value, but a NaN in x or y, or one made by adding +inf to -inf,
 raises ValueError, since the network would spread it to every row it
 meets; only non-finite input pays for that test.  On one core of a shared 2-vCPU Xeon VM, the paired kernel
 at S = 100k takes 6-8 ms a call at d = 16 and 48-74 ms at d = 64, against
@@ -52,10 +51,13 @@ K_s largest entries of x + nu_s one at a time, largest first: the order of a
 cumulative sum over a descending sort, so each float equals that formula's.
 It sorts -(x + nu_s) ascending (negation is exact) and adds one column of all
 rows at a time, storing each row's sum after its K_s-th column.  Rows go in
-chunks of 2**17 // d through one 1 MiB scratch buffer per thread, shared by
-all instances, so S = 100k samples at d = 16 need no (S, d) temporary.
-``value`` is the mean of the per-sample sums, ``value_stats`` their mean and
-standard error.
+chunks of 2**17 // d through a 1 MiB float64 view of the scratch, so
+S = 100k samples at d = 16 need no (S, d) temporary.  ``value`` is the mean
+of the per-sample sums, ``value_stats`` their mean and standard error.
+
+Both kernels cut their views from one grow-only byte buffer per thread,
+shared by all instances; the views are cached by shape and dropped when
+the buffer grows.
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ from .base import ApproxMeta, GradStableApprox
 
 __all__ = ["TopKApprox"]
 
-_SCRATCH_FLOATS = 1 << 17  # float64 value-kernel scratch per thread: 1 MiB
-_value_scratch = threading.local()
+_SCRATCH_FLOATS = 1 << 17  # float64 value-kernel floats per row chunk: 1 MiB
 # membership-kernel samples per block.  Half as many run one thread about
 # 10% faster, but two threads on one instance (verify's jobs = 2) then run
 # slower than with no blocks at all: each row step is a numpy call that
@@ -81,23 +82,27 @@ _value_scratch = threading.local()
 _BLOCK_SAMPLES = 24576
 
 
-class _BlockScratch(threading.local):
-    """One membership-kernel buffer per thread, grow-only, and its views."""
+class _Scratch(threading.local):
+    """One grow-only byte buffer per thread, shared by both kernels and all
+    instances, and the views cut from it, cached by shape."""
 
     def __init__(self):
         self.buf = np.empty(0, dtype=np.uint8)
         self.views = {}
 
+    def view(self, key, nbytes: int, cut):
+        """The view cached under ``key``, else ``cut`` of a buffer of at least
+        ``nbytes``; growing the buffer drops every cached view."""
+        got = self.views.get(key)
+        if got is None:
+            if self.buf.shape[0] < nbytes:
+                self.buf = np.empty(nbytes, dtype=np.uint8)
+                self.views.clear()
+            got = self.views[key] = cut(self.buf)
+        return got
 
-_block_scratch = _BlockScratch()
 
-
-def _scratch(n: int) -> np.ndarray:
-    """This thread's value-kernel buffer, at least ``n`` floats long."""
-    buf = getattr(_value_scratch, "buf", None)
-    if buf is None or buf.shape[0] < n:
-        buf = _value_scratch.buf = np.empty(max(n, _SCRATCH_FLOATS))
-    return buf
+_scratch = _Scratch()
 
 
 class _BlockViews(NamedTuple):
@@ -108,23 +113,16 @@ class _BlockViews(NamedTuple):
 
 
 def _block_views(d: int, n: int, pool: int) -> _BlockViews:
-    """This thread's membership-kernel views for blocks of ``n`` samples.
+    """This thread's membership-kernel views for blocks of ``n`` samples."""
+    floats = (d + pool + 1) * n
+    nbytes = 4 * floats + 2 * d * n
 
-    All views share one grow-only byte buffer per thread, whatever the
-    instance; they are cached per (d, n, pool) and dropped when it grows.
-    """
-    tls = _block_scratch
-    got = tls.views.get((d, n, pool))
-    if got is None:
-        floats = (d + pool + 1) * n
-        nbytes = 4 * floats + 2 * d * n
-        if tls.buf.shape[0] < nbytes:
-            tls.buf = np.empty(nbytes, dtype=np.uint8)
-            tls.views.clear()
-        f32 = tls.buf[: 4 * floats].view(np.float32).reshape(d + pool + 1, n)
-        masks = tls.buf[4 * floats : nbytes].view(bool).reshape(2, d, n)
-        got = tls.views[(d, n, pool)] = _BlockViews(f32[:d], list(f32[:-1]), f32[-1], masks)
-    return got
+    def cut(buf: np.ndarray) -> _BlockViews:
+        f32 = buf[: 4 * floats].view(np.float32).reshape(d + pool + 1, n)
+        masks = buf[4 * floats : nbytes].view(bool).reshape(2, d, n)
+        return _BlockViews(f32[:d], list(f32[:-1]), f32[-1], masks)
+
+    return _scratch.view((d, n, pool), nbytes, cut)
 
 
 def _sample_ranks(rng: np.random.Generator, k: int, d: int, samples: int) -> np.ndarray:
@@ -248,19 +246,18 @@ class TopKApprox(GradStableApprox):
         self.noise = rng.exponential(scale=1.0 / (k * epsilon), size=(samples, dim))
         self._noise32 = None
         self._value_chunks = self._chunk_plan()
-        # mean of min(K, k): value(x) >= (mean_capped_rank / k) * topk(x) pointwise
-        self.mean_capped_rank = float(np.minimum(self.ranks, k).mean())
-        # mean of ceil(K / k): value(x) <= that * topk(x) + value(0) pointwise
-        self.mean_chunks = float(np.ceil(self.ranks / k).mean())
-        self.growth_bound = self.mean_chunks
+        # the mean of min(K, k): value(x) >= (capped / k) * topk(x) pointwise
+        capped = float(np.minimum(self.ranks, k).mean())
+        # the mean of ceil(K / k): value(x) <= chunks * topk(x) + value(0) and
+        # value(x + y) <= value(x) + chunks * topk(y) pointwise
+        chunks = float(np.ceil(self.ranks / k).mean())
         self.meta = ApproxMeta(
             epsilon=epsilon,
             delta=0.25,
-            alpha=self.mean_chunks,
+            alpha=chunks,
             gamma=epsilon * self.value(np.zeros(dim)),
             stochastic=True,
-            seed=seed,
-            lower_scale=self.mean_capped_rank / k,
+            lower_scale=capped / k,
         )
 
     # --- evaluation ---------------------------------------------------------
@@ -359,7 +356,8 @@ class TopKApprox(GradStableApprox):
             out.fill(np.nan)
             return out
         neg = np.negative(v)
-        buf = _scratch(self._value_chunks[0][1] * d)  # the first chunk is the largest
+        n = 8 * self._value_chunks[0][1] * d  # bytes: the first chunk is the largest
+        buf = _scratch.view(n, n, lambda b: b[:n].view(np.float64))
         for lo, hi, stores in self._value_chunks:
             z = buf[: (hi - lo) * d].reshape(hi - lo, d)
             np.subtract(neg, self.noise[lo:hi], out=z)  # -(x + noise), exactly

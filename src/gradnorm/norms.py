@@ -81,7 +81,7 @@ class NormSpec:
         if self.dim < 1:
             raise NormSpecError(f"dim must be >= 1, got {self.dim}")
         if self.kind == "lp":
-            if self.p is None or (not math.isinf(self.p) and self.p < 1.0):
+            if self.p is None or not self.p >= 1.0:  # NaN compares false
                 raise NormSpecError(f"lp requires p >= 1 or inf, got {self.p}")
         elif self.kind == "topk":
             if self.k is None or not (1 <= self.k <= self.dim):
@@ -90,6 +90,8 @@ class NormSpec:
             w = self.weights
             if w is None or len(w) != self.dim:
                 raise NormSpecError("ordered requires one weight per dimension")
+            if not all(math.isfinite(v) for v in w):
+                raise NormSpecError("ordered weights must be finite")
             if w[0] <= 0.0:
                 raise NormSpecError("ordered requires w_1 > 0")
             if any(a < b - 1e-15 * max(abs(a), 1.0) for a, b in zip(w, w[1:])) or any(
@@ -225,6 +227,8 @@ def _eval_rows(spec: NormSpec, m: np.ndarray) -> np.ndarray:
         raw = np.array([float(spec.oracle(row)) for row in m])
         if (raw < 0).any():
             raise OracleError("oracle returned a negative value")
+        if np.isnan(raw).any():
+            raise OracleError("oracle returned NaN")
     return raw / spec.scale
 
 
@@ -384,9 +388,12 @@ def _need_dim(text: str, dim: int | None) -> int:
 
 def _parse_float(text: str, token: str, pos: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise NormParseError(text, pos, f"a real number (got {token!r})") from None
+    if not math.isfinite(value):
+        raise NormParseError(text, pos, f"a finite real number (got {token!r})")
+    return value
 
 
 def _parse_int(text: str, token: str, pos: int) -> int:

@@ -37,7 +37,6 @@ from gradnorm.norms import (
     linf,
     lp,
     normalize_spec,
-    ones_profile,
     ordered,
     topk,
 )
@@ -199,8 +198,7 @@ def measure_composition_constants(epsilon: float = 1.0, samples: int = 4000) -> 
     out = {}
     for label, spec in _composition_norms().items():
         node = build_symmetric_approx(
-            ones_profile(spec), epsilon, samples=samples,
-            seed=derive_seed(MASTER, "c4build", label), norm=spec,
+            spec, epsilon, samples=samples, seed=derive_seed(MASTER, "c4build", label)
         )
         psi0 = node.value(np.zeros(64))
         rng = derive_rng(MASTER, "c4probe", label)
@@ -393,7 +391,7 @@ def test_criterion_07_vector_scheduling_consistency():
     t2 = run_greedy(inst2, nested2, ("given", guess), seed=seed)
     t1 = run_greedy(inst1, nested1b, ("given", guess), seed=seed)
     probe = nested2(6, 1.0 / guess, derive_seed(seed, "phase", 0))
-    slack = math.log(2) * max(probe.growth_bound, 1.0) * guess  # ln(r)/eps_out
+    slack = math.log(2) * max(probe.meta.alpha, 1.0) * guess  # ln(r)/eps_out
     degenerate_ok = abs(t2.final_norm - t1.final_norm) <= slack + 1e-9
     report(
         "07 vector-scheduling-consistency",

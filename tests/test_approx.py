@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gradnorm.approx import ShiftedLpApprox, SoftmaxApprox
+from gradnorm.approx import ShiftedLpApprox, SoftmaxApprox, parse_approx_spec
+from gradnorm.norms import NormParseError
 from helpers import finite_diff_grad
 
 
@@ -79,6 +80,13 @@ class TestShiftedLp:
         assert sl.value(x) == pytest.approx(x.sum())
         np.testing.assert_allclose(sl.gradient(x), np.ones(5))
         assert sl.meta.gamma == 0.0
+
+    def test_nan_exponent_refused(self):
+        with pytest.raises(ValueError):
+            ShiftedLpApprox(4, math.nan, 1.0)
+        with pytest.raises(NormParseError):
+            parse_approx_spec("slp:nan")
+        assert parse_approx_spec("slp:inf").p == math.inf
 
     def test_zero_input_gives_shift(self):
         sl = ShiftedLpApprox(4, 2.0, 1.0)

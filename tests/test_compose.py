@@ -11,6 +11,7 @@ from gradnorm.approx import (
     ShiftedLpApprox,
     SoftmaxApprox,
     TopKApprox,
+    build_approx,
     build_nested_max_approx,
     build_symmetric_approx,
 )
@@ -23,6 +24,7 @@ from gradnorm.norms import (
     normalize_spec,
     ones_profile,
     ordered,
+    parse_norm_spec,
     topk,
 )
 from helpers import finite_diff_grad
@@ -101,9 +103,8 @@ def value_and_grad_cases():
         ("leaf subset", Leaf(SoftmaxApprox(3, 1.3), dim=6, subset=[4, 0, 2], scale=1.7)),
         ("leaf subset topk", Leaf(TopKApprox(3, 2, 1.0, samples=300, seed=41),
                                   dim=6, subset=[1, 5, 3], scale=0.6)),
-        ("sym", build_symmetric_approx(ones_profile(spec), 0.5, samples=400, seed=42, norm=spec)),
-        ("nested", build_nested_max_approx([ones_profile(s) for s in specs], 3, 0.5,
-                                           samples=300, seed=43, inner_norms=specs)),
+        ("sym", build_symmetric_approx(spec, 0.5, samples=400, seed=42)),
+        ("nested", build_nested_max_approx(specs, 3, 0.5, samples=300, seed=43)),
     ]
     return [pytest.param(psi, id=label) for label, psi in cases]
 
@@ -153,8 +154,7 @@ class TestEvaluationCounts:
 
     def test_nested_evaluates_each_inner_value_once(self, monkeypatch):
         specs = [normalize_spec(topk(8, 2)), normalize_spec(linf(8))]
-        psi = build_nested_max_approx([ones_profile(s) for s in specs], 8, 0.5,
-                                      samples=300, seed=45, inner_norms=specs)
+        psi = build_nested_max_approx(specs, 8, 0.5, samples=300, seed=45)
         x = np.random.default_rng(46).exponential(1.0, 16)
         calls = self.counted(monkeypatch)
         value = psi.value(x)
@@ -167,7 +167,7 @@ class TestEvaluationCounts:
 
     def test_sym_counts(self, monkeypatch):
         spec = normalize_spec(topk(16, 4))
-        psi = build_symmetric_approx(ones_profile(spec), 0.5, samples=300, seed=47, norm=spec)
+        psi = build_symmetric_approx(spec, 0.5, samples=300, seed=47)
         x = np.random.default_rng(48).exponential(1.0, 16)
         calls = self.counted(monkeypatch)
         got_value, got_grad = psi.value_and_grad(x)
@@ -179,7 +179,7 @@ class TestEvaluationCounts:
 class TestSymmetricBuild:
     def test_l1_profile_dominates_l1(self):
         spec = normalize_spec(l1(16))
-        node = build_symmetric_approx(ones_profile(spec), 1.0, samples=1500, seed=3, norm=spec)
+        node = build_symmetric_approx(spec, 1.0, samples=1500, seed=3)
         rng = np.random.default_rng(4)
         for _ in range(300):
             x = rng.exponential(1.0, 16) * rng.choice([0.1, 1.0, 10.0])
@@ -188,7 +188,7 @@ class TestSymmetricBuild:
     def test_linf_profile_sandwich_dim64(self):
         eps = 1.0
         spec = normalize_spec(linf(64))
-        node = build_symmetric_approx(ones_profile(spec), eps, samples=1500, seed=5, norm=spec)
+        node = build_symmetric_approx(spec, eps, samples=1500, seed=5)
         a, g = node.meta.alpha, node.meta.gamma
         rng = np.random.default_rng(6)
         for _ in range(200):
@@ -198,7 +198,7 @@ class TestSymmetricBuild:
 
     def test_topj_profile_sandwich(self):
         spec = normalize_spec(topk(32, 5))
-        node = build_symmetric_approx(ones_profile(spec), 0.5, samples=1500, seed=7, norm=spec)
+        node = build_symmetric_approx(spec, 0.5, samples=1500, seed=7)
         a, g = node.meta.alpha, node.meta.gamma
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -209,7 +209,7 @@ class TestSymmetricBuild:
     def test_declared_sandwich_is_exact_on_samples(self):
         """alpha/gamma come from per-sample inequalities, never violated."""
         spec = normalize_spec(ordered([5.0, 3.0, 2.0, 1.0, 1.0, 0.5, 0.25, 0.0]))
-        node = build_symmetric_approx(ones_profile(spec), 2.0, samples=800, seed=9, norm=spec)
+        node = build_symmetric_approx(spec, 2.0, samples=800, seed=9)
         a, g = node.meta.alpha, node.meta.gamma
         rng = np.random.default_rng(10)
         for _ in range(500):
@@ -222,7 +222,7 @@ class TestSymmetricBuild:
         with pytest.raises(NormSpecError):
             OnesProfile((2.0, 3.0))  # c_1 != 1
         with pytest.raises(ValueError):
-            build_symmetric_approx(ones_profile(normalize_spec(l1(4))), -1.0)
+            build_symmetric_approx(normalize_spec(l1(4)), -1.0)
 
     def test_unsmoothed_leaf_max_brackets_norm(self):
         """max_j (c_k/k) top_k(x) lies in [norm/blocks, norm]."""
@@ -244,9 +244,8 @@ def spec_lower(node, x, n):
 class TestNestedBuild:
     def test_single_resource_collapses(self):
         spec = normalize_spec(topk(6, 2))
-        prof = ones_profile(spec)
-        a = build_nested_max_approx([prof], 6, 1.0, samples=600, seed=12, inner_norms=[spec])
-        b = build_symmetric_approx(prof, 1.0, samples=600, seed=12, norm=spec)
+        a = build_nested_max_approx([spec], 6, 1.0, samples=600, seed=12)
+        b = build_symmetric_approx(spec, 1.0, samples=600, seed=12)
         rng = np.random.default_rng(13)
         for _ in range(20):
             x = rng.exponential(1.0, 6)
@@ -256,12 +255,10 @@ class TestNestedBuild:
     def test_zero_resource_tracks_the_other(self):
         eps = 1.0
         spec = normalize_spec(linf(4))
-        profs = [ones_profile(spec)] * 2
-        node = build_nested_max_approx(profs, 4, eps, samples=800, seed=14,
-                                       inner_norms=[spec, spec])
+        node = build_nested_max_approx([spec, spec], 4, eps, samples=800, seed=14)
         child1 = node.children[0].inner
         rng = np.random.default_rng(15)
-        slack = math.log(2) * max(node.growth_bound, 1.0) / eps
+        slack = math.log(2) * max(node.meta.alpha, 1.0) / eps
         for _ in range(50):
             x = np.zeros(8)
             x[:4] = rng.exponential(20.0, 4) + 50.0  # resource 1 dominates
@@ -271,8 +268,7 @@ class TestNestedBuild:
 
     def test_objective_lower_bound(self):
         specs = [normalize_spec(linf(4)), normalize_spec(l1(4))]
-        profs = [ones_profile(s) for s in specs]
-        node = build_nested_max_approx(profs, 4, 0.5, samples=600, seed=16, inner_norms=specs)
+        node = build_nested_max_approx(specs, 4, 0.5, samples=600, seed=16)
         rng = np.random.default_rng(17)
         for _ in range(200):
             x = rng.exponential(1.0, 8)
@@ -281,19 +277,46 @@ class TestNestedBuild:
 
     def test_gradient_finite_differences_dim32(self):
         specs = [normalize_spec(linf(16)), normalize_spec(topk(16, 4))]
-        profs = [ones_profile(s) for s in specs]
-        node = build_nested_max_approx(profs, 16, 1.0, samples=400, seed=18, inner_norms=specs)
+        node = build_nested_max_approx(specs, 16, 1.0, samples=400, seed=18)
         rng = np.random.default_rng(19)
         x = rng.exponential(1.0, 32)
         g = node.gradient(x)
         fd = finite_diff_grad(node.value, x, 1e-4)
         np.testing.assert_allclose(g, fd, atol=1e-3 * max(np.abs(g).max(), 0.1))
 
+    @pytest.mark.parametrize("texts, lp_leaves", [
+        (["linf", "l1"], True),
+        (["lp:3", "lp:inf", "linf"], True),
+        (["linf"], True),
+        (["linf", "topk:2"], False),
+        (["l1", "ordered:2,1,1,0"], False),
+        (["topk:3"], False),
+    ])
+    def test_leaf_kind_follows_the_inner_norms(self, texts, lp_leaves):
+        """Shifted l-p leaves exactly when every inner norm is l-p or linf,
+        and the same surrogate as the grammar's nested:<r> builds."""
+        raw = [parse_norm_spec(t, dim=4) for t in texts]
+        specs = [normalize_spec(s) for s in raw]
+        r = len(specs)
+        node = build_nested_max_approx(specs, 4, 0.5, samples=300, seed=20)
+        leaves = [node] if r == 1 else [c.inner for c in node.children]
+        for spec, leaf in zip(specs, leaves):
+            if lp_leaves:
+                assert isinstance(leaf, ShiftedLpApprox)
+                assert leaf.p == (math.inf if spec.kind == "linf" else spec.p)
+            else:
+                assert isinstance(leaf, Outer) and leaf.norm_spec() == spec
+        assert node.meta.stochastic is not lp_leaves
+        via_grammar = build_approx(f"nested:{r}", 4 * r, 0.5, samples=300, seed=20,
+                                   inner_norms=raw, machines=4)
+        assert via_grammar.meta == node.meta
+        rng = np.random.default_rng(21)
+        for x in [np.zeros(4 * r)] + [rng.exponential(s, 4 * r) for s in (0.1, 1.0, 30.0)]:
+            assert via_grammar.value(x) == node.value(x)
+            assert (via_grammar.gradient(x) == node.gradient(x)).all()
+
     def test_lp_fast_path(self):
-        node = build_nested_max_approx(
-            [ones_profile(normalize_spec(l1(4)))] * 2, 4, 1.0,
-            inner_norms=[normalize_spec(l1(4))] * 2, lp_exponents=[1.0, 1.0],
-        )
+        node = build_nested_max_approx([normalize_spec(l1(4))] * 2, 4, 1.0)
         x = np.arange(8.0)
         # children are exact l1 sums under a smoothed max
         assert node.value(x) >= max(x[:4].sum(), x[4:].sum())

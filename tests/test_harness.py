@@ -426,6 +426,34 @@ class TestNonFiniteInput:
         assert "opt value must be finite" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--problem", "lb", "--norm", "lp:nan"],
+        ["gen", "--problem", "lb", "--m", "2", "--norm", "ordered:1,nan"],
+        ["gen", "--problem", "lb", "--m", "2", "--norm", "ordered:1e400,1"],
+        ["verify", "--norm", "lp:nan", "--dim", "4", "--check", "structure"],
+        ["verify", "--approx", "slp:nan", "--dim", "4", "--check", "structure"],
+    ])
+    def test_spec_with_a_non_finite_number(self, tmp_path, argv):
+        out = str(tmp_path / "out.jsonl")
+        proc = run_cli(*argv, *(["--out", out] if argv[0] == "gen" else []))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        spec = argv[argv.index("--approx" if "--approx" in argv else "--norm") + 1]
+        assert f"invalid norm spec {spec!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("cmd", [["bvc", "run"], ["bench", "bvc"]])
+    def test_bandit_file_with_a_nan_weight(self, tmp_path, cmd):
+        path = str(tmp_path / "bvc.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"T": 2, "d": 2, "n": 2, "norm": "ordered:1,nan"}) + "\n")
+            for _ in range(2):
+                fh.write(json.dumps({"C": [[0.5, 0.25], [0.75, 0.5]]}) + "\n")
+        proc = run_cli(*cmd, "--instance", path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "invalid norm spec 'ordered:1,nan'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_finite_result_is_not_written(self):
         # no trials would leave the worst margin at +inf: the check refuses them
         proc = run_cli("verify", "--approx", "softmax", "--dim", "4", "--check",

@@ -193,6 +193,21 @@ class TestProfilesAndNormalization:
         with pytest.raises(NormSpecError):
             normalize_spec(oracle_sym(3, lambda v: 0.0))
 
+    def test_non_finite_parameters_refused(self):
+        with pytest.raises(NormSpecError):
+            lp(3, math.nan)
+        for weights in ([1.0, math.nan], [math.inf, 1.0], [1.0, math.inf]):
+            with pytest.raises(NormSpecError):
+                ordered(weights)
+        assert lp(3, math.inf).p == math.inf
+
+    def test_nan_oracle_rejected(self):
+        spec = oracle_sym(3, lambda v: math.nan)
+        with pytest.raises(OracleError):
+            eval_norm(spec, [1.0, 0.0, 0.0])
+        with pytest.raises(OracleError):
+            normalize_spec(spec)
+
     def test_ordered_weight_validation(self):
         with pytest.raises(NormSpecError):
             ordered([1.0, 2.0])  # increasing
@@ -225,6 +240,17 @@ class TestGrammar:
             parse_norm_spec("topk:x", dim=3)
         with pytest.raises(NormParseError):
             parse_norm_spec("ordered:1,2,3", dim=3)  # increasing weights
+
+    @pytest.mark.parametrize("text", ["lp:nan", "lp:-inf", "ordered:1,nan", "ordered:1e400,1",
+                                      "ordered:inf,1", "orlicz:pow:nan", "orlicz:pow:inf"])
+    def test_non_finite_numbers_refused(self, text):
+        with pytest.raises(NormParseError) as err:
+            parse_norm_spec(text, dim=2)
+        assert "finite" in err.value.expected
+        assert text in str(err.value)
+
+    def test_lp_inf_is_its_own_case(self):
+        assert parse_norm_spec("lp:inf", dim=3).p == math.inf
 
     def test_missing_dim(self):
         with pytest.raises(NormParseError):

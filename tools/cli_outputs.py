@@ -132,6 +132,12 @@ COMMANDS = [
                                    "--out", "bwk-negative.jsonl"], None),
     ("usage-gen-bvc-scale", ["gen", "--problem", "bvc", "--scale", "2",
                              "--out", "bvc-scale.jsonl"], None),
+    ("usage-gen-lp-nan", ["gen", "--problem", "lb", "--norm", "lp:nan",
+                          "--out", "lb-nan.jsonl"], None),
+    ("usage-gen-ordered-nan", ["gen", "--problem", "lb", "--m", "2", "--norm", "ordered:1,nan",
+                               "--out", "lb-ordered-nan.jsonl"], None),
+    ("usage-verify-slp-nan", ["verify", "--approx", "slp:nan", "--norm", "linf", "--dim", "6",
+                              "--check", "structure"], None),
 ]
 
 
