@@ -249,9 +249,6 @@ class TestGrammar:
         assert "finite" in err.value.expected
         assert text in str(err.value)
 
-    def test_lp_inf_is_its_own_case(self):
-        assert parse_norm_spec("lp:inf", dim=3).p == math.inf
-
     def test_missing_dim(self):
         with pytest.raises(NormParseError):
             parse_norm_spec("linf")
