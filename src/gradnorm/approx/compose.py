@@ -88,16 +88,10 @@ class Leaf(GradStableApprox):
         return out
 
     def pair_margin_stats(self, x, y, w1: float, w0: float):
-        xs = self._slice(x)
-        ys = self._slice(y)
-        mean, se = self.inner.pair_margin_stats(xs, ys, w1 * self.scale, w0 * self.scale)
-        if self.subset is None:
-            return mean, se
-        mfull = np.zeros(self.dim)
-        sfull = np.zeros(self.dim)
-        mfull[self.subset] = mean
-        sfull[self.subset] = se
-        return mfull, sfull
+        mean, se = self.inner.pair_margin_stats(
+            self._slice(x), self._slice(y), w1 * self.scale, w0 * self.scale
+        )
+        return self._scatter(mean), self._scatter(se)
 
     def norm_spec(self) -> NormSpec | None:
         spec = self.inner.norm_spec()
@@ -117,8 +111,8 @@ class Outer(GradStableApprox):
         self,
         outer: GradStableApprox,
         children: list[GradStableApprox],
+        meta: ApproxMeta,
         norm: NormSpec | None = None,
-        meta: ApproxMeta | None = None,
     ):
         if outer.dim != len(children):
             raise ValueError(
@@ -131,23 +125,7 @@ class Outer(GradStableApprox):
         self.children = list(children)
         self.dim = dims.pop()
         self._norm = norm
-        self.meta = meta if meta is not None else self._default_meta()
-
-    def _default_meta(self) -> ApproxMeta:
-        om = self.outer.meta
-        cms = [c.meta for c in self.children]
-        eps = min(m.epsilon for m in cms)
-        # additive errors re-expressed at the declared scale before combining
-        gamma = max(m.gamma * eps / m.epsilon for m in cms) + om.gamma * eps / om.epsilon
-        return ApproxMeta(
-            epsilon=eps,
-            delta=om.delta + max(m.delta for m in cms),
-            alpha=om.alpha * max(m.alpha for m in cms),
-            gamma=gamma,
-            stochastic=any(m.stochastic for m in cms) or om.stochastic,
-            stability_scale=1.0 + max(m.stability_scale for m in cms),
-            lower_scale=min(m.lower_scale for m in cms),
-        )
+        self.meta = meta
 
     def child_values(self, x) -> np.ndarray:
         return np.array([c.value(x) for c in self.children])
@@ -232,24 +210,26 @@ def build_symmetric_approx(
         stochastic=True,
         stability_scale=1.0 + max(kappa_terms),
     )
-    return Outer(outer, children, norm=norm, meta=meta)
+    return Outer(outer, children, meta, norm=norm)
 
 
 def build_nested_max_approx(
-    inner_norms: list[NormSpec], m: int, epsilon: float, samples: int = 2000, seed: int = 0
+    inner_norms: list[NormSpec], epsilon: float, samples: int = 2000, seed: int = 0
 ) -> GradStableApprox:
     """Surrogate for max-over-resources of the normalized ``inner_norms``.
 
-    Input coordinates are resource-major: [i*m, (i+1)*m) holds resource i's
-    machine loads.  When every inner norm is l-p or linf (p = inf), resources
-    use shifted l-p leaves, whose error is tighter than symmetric builds'.
+    Every inner norm has the machine count m as its dimension, and input
+    coordinates are resource-major: [i*m, (i+1)*m) holds resource i's loads.
+    When every inner norm is l-p or linf (p = inf), resources use shifted
+    l-p leaves, whose error is tighter than symmetric builds'.
     A single resource degenerates to the plain per-resource surrogate.
     """
     r = len(inner_norms)
     if r < 1:
         raise ValueError("need at least one inner norm")
+    m = inner_norms[0].dim
     if any(s.dim != m for s in inner_norms):
-        raise ValueError("every inner norm must have dimension m")
+        raise ValueError("every inner norm must have the same dimension")
     lp_leaves = all(s.kind in ("lp", "linf") for s in inner_norms)
 
     def make_child(spec: NormSpec, child_seed: int) -> GradStableApprox:
@@ -276,4 +256,4 @@ def build_nested_max_approx(
         stochastic=any(m_.stochastic for m_ in cms),
         stability_scale=1.0 + max(m_.stability_scale for m_ in cms),
     )
-    return Outer(outer, children, meta=meta)
+    return Outer(outer, children, meta)

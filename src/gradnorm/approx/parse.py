@@ -2,10 +2,9 @@
 
     softmax | slp:<p> | gstopk:<k> | sym | nested:<r>
 
-``sym`` needs the target norm, ``nested`` the per-resource inner norms and
-the machine count; this module normalizes them, and the builders in
-``compose`` derive every structural choice from them.  Epsilon, sample count
-and seed are orthogonal knobs supplied by the caller.
+Every surrogate is built from its normalized target norms alone, and the
+builders in ``compose`` derive every structural choice from them.  Epsilon,
+sample count and seed are orthogonal knobs supplied by the caller.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..norms import NormParseError, NormSpec, normalize_spec
+from ..norms import NormParseError, NormSpec
 from .base import GradStableApprox
 from .compose import build_nested_max_approx, build_symmetric_approx
 from .shifted_lp import ShiftedLpApprox
@@ -21,6 +20,8 @@ from .softmax import SoftmaxApprox
 from .topk import TopKApprox
 
 __all__ = ["ApproxSpec", "parse_approx_spec", "build_approx"]
+
+NOISE_CAP = 100_000_000  # top-k noise floats per build: 1.2 GB with their float32 copies
 
 
 @dataclass(frozen=True)
@@ -61,22 +62,21 @@ def parse_approx_spec(text: str) -> ApproxSpec:
 
 
 def build_approx(
-    spec: ApproxSpec | str,
-    dim: int,
-    epsilon: float,
-    samples: int = 2000,
-    seed: int = 0,
-    norm: NormSpec | None = None,
-    inner_norms: list[NormSpec] | None = None,
-    machines: int | None = None,
+    spec: ApproxSpec | str, norms: list[NormSpec], epsilon: float, samples: int = 2000, seed: int = 0
 ) -> GradStableApprox:
-    """Instantiate a surrogate for the given context.
-
-    ``norm`` is required for ``sym`` (its ones profile drives the build);
-    ``inner_norms`` and ``machines`` are required for ``nested``.
-    """
+    """The surrogate ``spec`` of the normalized ``norms``: the target norm
+    alone, or the inner norms of a vector-scheduling instance in
+    resource-major order.  Its dimension is the sum of theirs."""
     if isinstance(spec, str):
         spec = parse_approx_spec(spec)
+    dim = sum(s.dim for s in norms)
+    if spec.kind in ("gstopk", "sym", "nested"):
+        # S*d noise floats per top-k leaf: one leaf for gstopk, at most one per
+        # dyadic rank of each norm for sym and nested
+        per_sample = dim if spec.kind == "gstopk" else sum(s.dim * s.dim.bit_length() for s in norms)
+        if samples * per_sample > NOISE_CAP:
+            raise ValueError(f"samples={samples} would draw {samples * per_sample} top-k noise "
+                             f"floats, more than the cap of {NOISE_CAP}")
     if spec.kind == "softmax":
         return SoftmaxApprox(dim, epsilon)
     if spec.kind == "slp":
@@ -84,16 +84,11 @@ def build_approx(
     if spec.kind == "gstopk":
         return TopKApprox(dim, spec.k, epsilon, samples=samples, seed=seed)
     if spec.kind == "sym":
-        if norm is None:
-            raise ValueError("sym surrogate needs the target norm spec")
-        return build_symmetric_approx(normalize_spec(norm), epsilon, samples=samples, seed=seed)
+        if len(norms) != 1:
+            raise ValueError(f"sym surrogate needs a single norm, got {len(norms)}")
+        return build_symmetric_approx(norms[0], epsilon, samples=samples, seed=seed)
     if spec.kind == "nested":
-        if inner_norms is None or machines is None:
-            raise ValueError("nested surrogate needs inner norms and the machine count")
-        if len(inner_norms) != spec.r:
-            raise ValueError(f"expected {spec.r} inner norms, got {len(inner_norms)}")
-        if dim != machines * spec.r:
-            raise ValueError(f"nested dim must be machines*r = {machines * spec.r}, got {dim}")
-        inners = [normalize_spec(s) for s in inner_norms]
-        return build_nested_max_approx(inners, machines, epsilon, samples=samples, seed=seed)
+        if len(norms) != spec.r:
+            raise ValueError(f"expected {spec.r} inner norms, got {len(norms)}")
+        return build_nested_max_approx(norms, epsilon, samples=samples, seed=seed)
     raise ValueError(f"unknown surrogate kind {spec.kind!r}")

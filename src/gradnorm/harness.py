@@ -257,23 +257,11 @@ def generate(spec: GeneratorSpec, path: str) -> None:
 # --- experiment orchestration ----------------------------------------------------
 
 
-def _approx_builder(config: dict, instance, default: str):
-    """``builder(dim, epsilon, seed)`` for the config's surrogate, ``default`` when unset."""
+def _approx_builder(config: dict, norms: list, default: str):
+    """``builder(epsilon, seed)``: the config's surrogate of ``norms``, ``default`` when unset."""
     spec = parse_approx_spec(_get(config, "approx", default, str))
     samples = _get(config, "samples", 2000, int)
-    if isinstance(instance, lb.LbInstance) and instance.is_vector_scheduling:
-        inner, machines = instance.inner, instance.m
-    else:
-        inner, machines = None, None
-    norm = getattr(instance, "norm", None)
-
-    def builder(dim: int, epsilon: float, seed: int):
-        return build_approx(
-            spec, dim, epsilon, samples=samples, seed=seed,
-            norm=norm, inner_norms=inner, machines=machines,
-        )
-
-    return builder
+    return lambda epsilon, seed: build_approx(spec, norms, epsilon, samples=samples, seed=seed)
 
 
 def _parse_opt_mode(text: str) -> tuple[str, float]:
@@ -295,8 +283,10 @@ def greedy_runner(config: dict):
     instance = lb.read_lb_instance(_get(config, "instance", MISSING, str))
     if _get(config, "problem", None, str) == "vs" and not instance.is_vector_scheduling:
         raise ValueError("vs run needs an instance with resource structure")
-    default = f"nested:{instance.r}" if instance.is_vector_scheduling else "sym"
-    builder = _approx_builder(config, instance, default)
+    if instance.is_vector_scheduling:
+        builder = _approx_builder(config, instance.inner, f"nested:{instance.r}")
+    else:
+        builder = _approx_builder(config, [instance.norm], "sym")
     opt_mode = _parse_opt_mode(_get(config, "opt", "auto:1.0", str))
     theta = _get(config, "theta", 8.0, float)
 
@@ -333,7 +323,7 @@ def run_experiment(config: dict) -> dict:
             return [seed, final, benchmark, _ratio(final, benchmark)]
     elif problem in ("bwk", "bvc"):
         instance = bd.read_bandit_instance(_get(config, "instance", MISSING, str))
-        builder = _approx_builder(config, instance, "softmax" if instance.norm.kind == "linf" else "sym")
+        builder = _approx_builder(config, [instance.norm], "softmax" if instance.norm.kind == "linf" else "sym")
         if problem == "bvc":
             _, bench, _ = bd.benchmark_fixed_bvc(instance)
             eps = _get(config, "epsilon", 1.0 / max(bench, 1.0), float)
@@ -350,14 +340,14 @@ def run_experiment(config: dict) -> dict:
         def one(seed: int) -> list:
             psi_seed = derive_seed(seed, "approx")
             if problem == "bvc":
-                tr = bd.bvc_run(instance, builder(instance.d, eps, psi_seed), seed=seed)
+                tr = bd.bvc_run(instance, builder(eps, psi_seed), seed=seed)
                 value = tr.final_norm
             else:
                 eps_k = eps
                 if eps_k is None:
-                    probe = builder(instance.d, 1.0, psi_seed).meta
+                    probe = builder(1.0, psi_seed).meta
                     eps_k = (probe.alpha + probe.gamma) / opt_in
-                psi = builder(instance.d, eps_k, psi_seed)
+                psi = builder(eps_k, psi_seed)
                 tr = bd.bwk_run(instance, psi, opt_in, seed=seed, allow_small_budget=allow_small_budget)
                 value = tr.total_reward
             return [seed, tr.total_reward, tr.final_norm, tr.stopped_at, bench, _ratio(value, bench)]
@@ -388,8 +378,8 @@ def run_verify_config(config: dict) -> vf.CheckReport:
     trials = _get(config, "trials", 1000, int)
     norm = normalize_spec(parse_norm_spec(_get(config, "norm", "linf", str), dim=dim))
     approx = build_approx(
-        _get(config, "approx", "softmax", str), dim, epsilon,
-        samples=_get(config, "samples", 100_000, int), seed=derive_seed(seed, "approx"), norm=norm,
+        _get(config, "approx", "softmax", str), [norm], epsilon,
+        samples=_get(config, "samples", 100_000, int), seed=derive_seed(seed, "approx"),
     )
     check = _get(config, "check", "stability", str)
     step_cap = _get(config, "step_cap", 1.0 / epsilon, float)  # epsilon > 0 once built

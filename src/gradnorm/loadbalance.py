@@ -38,8 +38,8 @@ __all__ = [
 BRUTE_FORCE_CAP = 2_000_000
 BRUTE_FORCE_BLOCK = 1 << 18  # load floats scored at once by brute_force_opt
 
-# builder(dim, epsilon, seed) -> surrogate
-ApproxBuilder = Callable[[int, float, int], GradStableApprox]
+# builder(epsilon, seed) -> surrogate of the instance's norms
+ApproxBuilder = Callable[[float, int], GradStableApprox]
 
 
 @dataclass
@@ -162,7 +162,7 @@ def run_greedy(
     phase_seeds = [derive_seed(seed, "phase", 0)]
     phase_epsilons = [1.0 / guess]
     phase_guesses = [guess]
-    psi = builder(dim, 1.0 / guess, phase_seeds[0])
+    psi = builder(1.0 / guess, phase_seeds[0])
 
     loads = np.zeros(dim)
     choices = np.empty(instance.T, dtype=np.int64)
@@ -179,7 +179,7 @@ def run_greedy(
                 phase_epsilons.append(1.0 / guess)
                 phase_guesses.append(guess)
                 psi = None  # drop the old phase's samples before the new ones are drawn
-                psi = builder(dim, 1.0 / guess, phase_seeds[-1])
+                psi = builder(1.0 / guess, phase_seeds[-1])
         cols = instance.columns(t)
         j, psi_vals[t] = greedy_step(psi, loads, cols)
         loads = loads + cols[:, j]

@@ -359,7 +359,7 @@ def parse_norm_spec(text: str, dim: int | None = None) -> NormSpec:
         p = _parse_float(text, arg, len(head) + 5)
         if p < 1.0:
             raise NormParseError(text, len(head) + 5, "p >= 1")
-        return orlicz(_need_dim(text, dim), lambda z, _p=p: z**_p, name=f"pow:{p:g}")
+        return orlicz(_need_dim(text, dim), lambda z, _p=p: z**_p, name=f"pow:{_format_float(p)}")
     raise NormParseError(text, 0, "one of linf|l1|lp|topk|ordered|orlicz")
 
 
@@ -370,14 +370,20 @@ def format_norm_spec(spec: NormSpec) -> str:
     if spec.kind == "lp":
         if spec.p == 1.0:
             return "l1"
-        return "lp:inf" if math.isinf(spec.p) else f"lp:{spec.p:g}"
+        return "lp:inf" if math.isinf(spec.p) else f"lp:{_format_float(spec.p)}"
     if spec.kind == "topk":
         return f"topk:{spec.k}"
     if spec.kind == "ordered":
-        return "ordered:" + ",".join(f"{w:g}" for w in spec.weights)
+        return "ordered:" + ",".join(_format_float(w) for w in spec.weights)
     if spec.kind == "orlicz" and spec.generator_name:
         return f"orlicz:{spec.generator_name}"
     raise NormSpecError(f"spec of kind {spec.kind!r} has no grammar form")
+
+
+def _format_float(v: float) -> str:
+    """``:g`` text where it parses back to ``v``, else the round-trip ``repr``."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
 
 
 def _need_dim(text: str, dim: int | None) -> int:

@@ -304,8 +304,8 @@ def measure_greedy_ratios() -> dict:
             inst = LbInstance(m=4, k=2, T=12, jobs=jobs, norm=spec)
             opt, _ = brute_force_opt(inst)
 
-            def builder(dim, eps, seed, _s=spec, _a=approx_text):
-                return build_approx(_a, dim, eps, samples=800, seed=seed, norm=_s)
+            def builder(eps, seed, _s=spec, _a=approx_text):
+                return build_approx(_a, [_s], eps, samples=800, seed=seed)
 
             trace = run_greedy(inst, builder, ("given", opt),
                                seed=derive_seed(MASTER, "c6run", label, i))
@@ -328,7 +328,7 @@ def test_criterion_06_greedy_vs_brute():
     inst = LbInstance(m=4, k=2, T=10, jobs=jobs, norm=normalize_spec(linf(4)))
     opt, _ = brute_force_opt(inst)
     trace = run_greedy(
-        inst, lambda d, e, s: build_approx("softmax", d, e), ("given", opt), seed=1
+        inst, lambda e, s: SoftmaxApprox(4, e), ("given", opt), seed=1
     )
     identical_ok = trace.final_norm == opt
     elapsed = time.perf_counter() - t0
@@ -352,12 +352,11 @@ def test_criterion_07_vector_scheduling_consistency():
     plain = LbInstance(m=3, k=2, T=8, jobs=[t[:, :, 0].T for t in tensors], norm=spec)
     seed = derive_seed(MASTER, "c7run")
 
-    def nested1(dim, eps, s):
-        return build_approx("nested:1", dim, eps, samples=800, seed=s,
-                            inner_norms=[spec], machines=3)
+    def nested1(eps, s):
+        return build_approx("nested:1", [spec], eps, samples=800, seed=s)
 
-    def sym(dim, eps, s):
-        return build_approx("sym", dim, eps, samples=800, seed=s, norm=spec)
+    def sym(eps, s):
+        return build_approx("sym", [spec], eps, samples=800, seed=s)
 
     a = run_greedy(vs_inst, nested1, ("given", 2.0), seed=seed)
     b = run_greedy(plain, sym, ("given", 2.0), seed=seed)
@@ -379,18 +378,16 @@ def test_criterion_07_vector_scheduling_consistency():
     inst1 = LbInstance(m=3, k=2, T=8, jobs=[t[:, :, :1] for t in tensors2], r=1,
                        inner=[spec_inf])
 
-    def nested2(dim, eps, s):
-        return build_approx("nested:2", dim, eps, samples=800, seed=s,
-                            inner_norms=[spec_inf, spec_inf], machines=3)
+    def nested2(eps, s):
+        return build_approx("nested:2", [spec_inf, spec_inf], eps, samples=800, seed=s)
 
-    def nested1b(dim, eps, s):
-        return build_approx("nested:1", dim, eps, samples=800, seed=s,
-                            inner_norms=[spec_inf], machines=3)
+    def nested1b(eps, s):
+        return build_approx("nested:1", [spec_inf], eps, samples=800, seed=s)
 
     guess = 2.0
     t2 = run_greedy(inst2, nested2, ("given", guess), seed=seed)
     t1 = run_greedy(inst1, nested1b, ("given", guess), seed=seed)
-    probe = nested2(6, 1.0 / guess, derive_seed(seed, "phase", 0))
+    probe = nested2(1.0 / guess, derive_seed(seed, "phase", 0))
     slack = math.log(2) * max(probe.meta.alpha, 1.0) * guess  # ln(r)/eps_out
     degenerate_ok = abs(t2.final_norm - t1.final_norm) <= slack + 1e-9
     report(

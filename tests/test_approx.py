@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gradnorm.approx import ShiftedLpApprox, SoftmaxApprox, parse_approx_spec
-from gradnorm.norms import NormParseError
+from gradnorm.approx import ShiftedLpApprox, SoftmaxApprox, build_approx, parse_approx_spec
+from gradnorm.approx import parse as approx_parse
+from gradnorm.norms import NormParseError, normalize_spec, topk
 from helpers import finite_diff_grad
 
 
@@ -145,3 +146,34 @@ class TestShiftedLp:
         x = np.array([1e150, 1e149, 0.0, 1.0])
         assert np.isfinite(sl.value(x))
         assert np.isfinite(sl.gradient(x)).all()
+
+
+class TestNoiseCap:
+    """build_approx refuses a top-k build above NOISE_CAP noise floats before
+    any draw.  The cap is lowered here, so no test allocates near the real one."""
+
+    @pytest.mark.parametrize("text, dims, floats", [
+        ("gstopk:4", [16], 16),  # one leaf of 16 coordinates
+        ("sym", [16], 16 * 5),  # one leaf per dyadic rank 1, 2, 4, 8, 16
+        ("nested:2", [8, 8], 2 * 8 * 4),  # a sym build of 4 leaves per resource
+    ])
+    def test_refused_above_the_cap(self, monkeypatch, text, dims, floats):
+        norms = [normalize_spec(topk(d, 2)) for d in dims]
+        monkeypatch.setattr(approx_parse, "NOISE_CAP", 100 * floats - 1)
+        with pytest.raises(ValueError, match=f"samples=100 would draw {100 * floats} top-k"):
+            build_approx(text, norms, 1.0, samples=100)
+
+    def test_closed_forms_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(approx_parse, "NOISE_CAP", 0)
+        norms = [normalize_spec(topk(16, 2))]
+        assert build_approx("softmax", norms, 1.0, samples=10**12).dim == 16
+        assert build_approx("slp:2", norms, 1.0, samples=10**12).dim == 16
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        from gradnorm import cli
+
+        monkeypatch.setattr(approx_parse, "NOISE_CAP", 100 * 16 - 1)
+        code = cli.main(["verify", "--approx", "gstopk:4", "--norm", "topk:4", "--dim", "16",
+                         "--samples", "100", "--trials", "1", "--check", "stability"])
+        assert code == 2
+        assert "error: samples=100 would draw 1600 top-k noise floats" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradnorm.approx import GradStableApprox, build_approx
+from gradnorm.approx import GradStableApprox, SoftmaxApprox, TopKApprox, build_approx
 from gradnorm.bandits import (
     BanditInstance,
     Exp3State,
@@ -213,7 +213,7 @@ class TestFusedValueAndGradientRuns:
         rng = np.random.default_rng(23)
         norm = normalize_spec(topk(4, 2))
         inst = bvc_instance(rng.uniform(0, 1, (150, 4, 3)), norm=norm)
-        psi = build_approx(approx, 4, 0.2, samples=300, seed=24, norm=norm)
+        psi = build_approx(approx, [norm], 0.2, samples=300, seed=24)
         trace = bvc_run(inst, psi, seed=25)
         only = GradientOnly(psi)
         assert_traces_equal(trace, bvc_run(inst, only, seed=25))
@@ -235,7 +235,7 @@ class TestFusedValueAndGradientRuns:
         norm = normalize_spec(linf(2))
         inst = BanditInstance(n=3, d=2, T=T, costs=costs, norm=norm, rewards=rewards,
                               budget=60.0, null_action=2)
-        psi = build_approx(approx, 2, 0.05, samples=300, seed=27, norm=norm)
+        psi = build_approx(approx, [norm], 0.05, samples=300, seed=27)
         only = GradientOnly(psi)
         runs = [bwk_run(inst, p, opt_bwk=40.0, seed=28, allow_small_budget=True)
                 for p in (psi, only)]
@@ -255,8 +255,8 @@ def normalizer_surrogate(approx, d=8):
     norm = normalize_spec(topk(d, 2))
     if approx == "nested:2":
         inner = [normalize_spec(topk(d // 2, 2)), normalize_spec(linf(d // 2))]
-        return build_approx(approx, d, 0.2, samples=300, seed=31, inner_norms=inner, machines=d // 2)
-    return build_approx(approx, d, 0.2, samples=300, seed=31, norm=norm)
+        return build_approx(approx, inner, 0.2, samples=300, seed=31)
+    return build_approx(approx, [norm], 0.2, samples=300, seed=31)
 
 
 class TestRoundNormalizer:
@@ -292,14 +292,14 @@ class TestBvcRun:
         rng = np.random.default_rng(0)
         costs = rng.uniform(0, 1, (50, 3, 1))
         inst = bvc_instance(costs)
-        psi = build_approx("softmax", 3, 0.1)
+        psi = SoftmaxApprox(3, 0.1)
         trace = bvc_run(inst, psi, seed=1)
         assert (trace.actions == 0).all()
         np.testing.assert_allclose(trace.final_cost, costs[:, :, 0].sum(axis=0))
 
     def test_zero_costs_stay_uniform(self):
         inst = bvc_instance(np.zeros((200, 2, 2)))
-        psi = build_approx("softmax", 2, 1.0)
+        psi = SoftmaxApprox(2, 1.0)
         trace = bvc_run(inst, psi, seed=2)
         assert trace.final_norm == 0.0
         assert abs((trace.actions == 0).mean() - 0.5) < 0.15
@@ -307,7 +307,7 @@ class TestBvcRun:
     def test_losses_normalized(self):
         rng = np.random.default_rng(3)
         inst = bvc_instance(rng.uniform(0, 1, (100, 2, 3)))
-        psi = build_approx("softmax", 2, 0.5)
+        psi = SoftmaxApprox(2, 0.5)
         trace = bvc_run(inst, psi, seed=4)
         assert (trace.losses >= 0.0).all() and (trace.losses <= 1.0).all()
 
@@ -316,12 +316,12 @@ class TestBvcRun:
                               norm=normalize_spec(linf(2)),
                               rewards=np.zeros((5, 2)))
         with pytest.raises(ValueError):
-            bvc_run(inst, build_approx("softmax", 2, 1.0))
+            bvc_run(inst, SoftmaxApprox(2, 1.0))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         inst = bvc_instance(rng.uniform(0, 1, (100, 2, 2)))
-        psi = build_approx("softmax", 2, 0.5)
+        psi = SoftmaxApprox(2, 0.5)
         a = bvc_run(inst, psi, seed=6)
         b = bvc_run(inst, psi, seed=6)
         np.testing.assert_array_equal(a.actions, b.actions)
@@ -331,7 +331,7 @@ class TestBvcRun:
         """Linearized gains never exceed the surrogate's total increase."""
         rng = np.random.default_rng(7)
         inst = bvc_instance(rng.uniform(0, 1, (60, 3, 2)))
-        psi = build_approx("gstopk:2", 3, 0.5, samples=2000, seed=8)
+        psi = TopKApprox(3, 2, 0.5, samples=2000, seed=8)
         trace = bvc_run(inst, psi, seed=9)
         loads = np.zeros(3)
         grad_sum = 0.0
@@ -358,14 +358,14 @@ class TestBwkRun:
 
     def test_hard_feasibility_many_seeds(self):
         inst = self.make_instance()
-        psi = build_approx("softmax", 2, 0.01)
+        psi = SoftmaxApprox(2, 0.01)
         for seed in range(10):
             trace = bwk_run(inst, psi, opt_bwk=100.0, seed=seed)
             assert eval_norm(inst.norm, trace.final_cost) <= inst.budget
 
     def test_null_absorption(self):
         inst = self.make_instance(T=200, budget=20.0)
-        psi = build_approx("softmax", 2, 0.05)
+        psi = SoftmaxApprox(2, 0.05)
         trace = bwk_run(inst, psi, opt_bwk=30.0, seed=3, allow_small_budget=True)
         assert trace.stopped_at < 200
         assert (trace.actions[trace.stopped_at:] == 2).all()
@@ -381,7 +381,7 @@ class TestBwkRun:
         inst = BanditInstance(n=3, d=2, T=T, costs=costs,
                               norm=normalize_spec(linf(2)), rewards=rewards,
                               budget=float(2 * T), null_action=2)
-        psi = build_approx("softmax", 2, 0.001)
+        psi = SoftmaxApprox(2, 0.001)
         trace = bwk_run(inst, psi, opt_bwk=float(rewards[:, 0].sum()), seed=5)
         best = rewards[:, 0].sum()
         regret_scale = 4 * np.sqrt(T * 3 * np.log(3))
@@ -389,7 +389,7 @@ class TestBwkRun:
 
     def test_small_budget_guard(self):
         inst = self.make_instance(T=100, budget=3.0)
-        psi = build_approx("softmax", 2, 0.1)
+        psi = SoftmaxApprox(2, 0.1)
         with pytest.raises(ValueError):
             bwk_run(inst, psi, opt_bwk=10.0, seed=6)
         with pytest.warns(RuntimeWarning):
@@ -401,7 +401,7 @@ class TestBwkRun:
                               norm=normalize_spec(linf(2)),
                               rewards=np.zeros((T, 2)), budget=5.0)
         with pytest.raises(ValueError):
-            bwk_run(inst, build_approx("softmax", 2, 1.0), opt_bwk=1.0)
+            bwk_run(inst, SoftmaxApprox(2, 1.0), opt_bwk=1.0)
 
     def random_instance(self, norm):
         """300 rounds, two random arms and a null arm, a budget of 40 all-ones steps."""
@@ -420,7 +420,7 @@ class TestBwkRun:
         """At the stop ||loads|| + ||1|| > B, a round earlier not, and the final cost fits."""
         inst = self.random_instance(norm)
         ones = eval_norm(inst.norm, np.ones(inst.d))
-        trace = bwk_run(inst, build_approx("softmax", inst.d, 0.1), opt_bwk=50.0, seed=41)
+        trace = bwk_run(inst, SoftmaxApprox(inst.d, 0.1), opt_bwk=50.0, seed=41)
         stop = trace.stopped_at
         assert 0 < stop < inst.T
         final = eval_norm(inst.norm, trace.final_cost)
@@ -436,7 +436,7 @@ class TestBwkRun:
         """The old rule stopped at ||loads|| + d > B; the rounds it played are played the
         same, and play goes on past its stop, so the reward can only rise."""
         inst = self.random_instance(norm)
-        psi = build_approx("softmax", inst.d, 0.1)
+        psi = SoftmaxApprox(inst.d, 0.1)
         trace = bwk_run(inst, psi, opt_bwk=50.0, seed=41)
         actions, probs, losses, _ = reference_run(inst, psi, seed=41, opt_bwk=50.0,
                                                   stop_step=float(inst.d))
@@ -457,7 +457,7 @@ class TestBwkRun:
                               norm=normalize_spec(linf(2)),
                               rewards=np.zeros((T, 2)), budget=float(T),
                               null_action=1)
-        psi = build_approx("softmax", 2, 0.1)
+        psi = SoftmaxApprox(2, 0.1)
         trace = bwk_run(inst, psi, opt_bwk=1.0, seed=7)
         assert trace.total_reward == 0.0
 

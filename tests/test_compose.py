@@ -30,6 +30,11 @@ from gradnorm.norms import (
 from helpers import finite_diff_grad
 
 
+def tree(outer, children):
+    """An Outer node; these tests read no metadata, so it carries the outer's."""
+    return Outer(outer, children, outer.meta)
+
+
 class TestNodes:
     def test_single_leaf_is_identity(self):
         inner = SoftmaxApprox(6, 1.0)
@@ -43,7 +48,7 @@ class TestNodes:
         """Softmax over two l1 leaves: gradient constant within each block."""
         blocks = [np.arange(0, 3), np.arange(3, 6)]
         children = [Leaf(ShiftedLpApprox(3, 1.0, 1.0), dim=6, subset=b) for b in blocks]
-        node = Outer(SoftmaxApprox(2, 1.0), children)
+        node = tree(SoftmaxApprox(2, 1.0), children)
         rng = np.random.default_rng(1)
         x = rng.exponential(1.0, 6)
         sums = np.array([x[:3].sum(), x[3:].sum()])
@@ -56,7 +61,7 @@ class TestNodes:
 
     def test_outer_validates_shapes(self):
         with pytest.raises(ValueError):
-            Outer(SoftmaxApprox(3, 1.0), [Leaf(SoftmaxApprox(4, 1.0))] * 2)
+            tree(SoftmaxApprox(3, 1.0), [Leaf(SoftmaxApprox(4, 1.0))] * 2)
         with pytest.raises(ValueError):
             Leaf(SoftmaxApprox(4, 1.0), dim=6, subset=np.arange(3))
         with pytest.raises(ValueError):
@@ -81,9 +86,9 @@ class TestNodes:
                     inner = TopKApprox(size, int(rng.integers(1, size + 1)), 1.0,
                                            samples=400, seed=int(rng.integers(10_000)))
                 children.append(Leaf(inner, dim=dim, subset=subset, scale=scale))
-            node = Outer(SoftmaxApprox(len(children), 1.0), children)
+            node = tree(SoftmaxApprox(len(children), 1.0), children)
             if tree_idx % 3 == 0:  # depth 2
-                node = Outer(SoftmaxApprox(2, 0.7), [node, Leaf(ShiftedLpApprox(dim, 2.0, 1.0))])
+                node = tree(SoftmaxApprox(2, 0.7), [node, Leaf(ShiftedLpApprox(dim, 2.0, 1.0))])
             x = rng.exponential(1.0, dim)
             g = node.gradient(x)
             fd = finite_diff_grad(node.value, x, 1e-4)
@@ -104,7 +109,7 @@ def value_and_grad_cases():
         ("leaf subset topk", Leaf(TopKApprox(3, 2, 1.0, samples=300, seed=41),
                                   dim=6, subset=[1, 5, 3], scale=0.6)),
         ("sym", build_symmetric_approx(spec, 0.5, samples=400, seed=42)),
-        ("nested", build_nested_max_approx(specs, 3, 0.5, samples=300, seed=43)),
+        ("nested", build_nested_max_approx(specs, 0.5, samples=300, seed=43)),
     ]
     return [pytest.param(psi, id=label) for label, psi in cases]
 
@@ -154,7 +159,7 @@ class TestEvaluationCounts:
 
     def test_nested_evaluates_each_inner_value_once(self, monkeypatch):
         specs = [normalize_spec(topk(8, 2)), normalize_spec(linf(8))]
-        psi = build_nested_max_approx(specs, 8, 0.5, samples=300, seed=45)
+        psi = build_nested_max_approx(specs, 0.5, samples=300, seed=45)
         x = np.random.default_rng(46).exponential(1.0, 16)
         calls = self.counted(monkeypatch)
         value = psi.value(x)
@@ -244,7 +249,7 @@ def spec_lower(node, x, n):
 class TestNestedBuild:
     def test_single_resource_collapses(self):
         spec = normalize_spec(topk(6, 2))
-        a = build_nested_max_approx([spec], 6, 1.0, samples=600, seed=12)
+        a = build_nested_max_approx([spec], 1.0, samples=600, seed=12)
         b = build_symmetric_approx(spec, 1.0, samples=600, seed=12)
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -255,7 +260,7 @@ class TestNestedBuild:
     def test_zero_resource_tracks_the_other(self):
         eps = 1.0
         spec = normalize_spec(linf(4))
-        node = build_nested_max_approx([spec, spec], 4, eps, samples=800, seed=14)
+        node = build_nested_max_approx([spec, spec], eps, samples=800, seed=14)
         child1 = node.children[0].inner
         rng = np.random.default_rng(15)
         slack = math.log(2) * max(node.meta.alpha, 1.0) / eps
@@ -268,7 +273,7 @@ class TestNestedBuild:
 
     def test_objective_lower_bound(self):
         specs = [normalize_spec(linf(4)), normalize_spec(l1(4))]
-        node = build_nested_max_approx(specs, 4, 0.5, samples=600, seed=16)
+        node = build_nested_max_approx(specs, 0.5, samples=600, seed=16)
         rng = np.random.default_rng(17)
         for _ in range(200):
             x = rng.exponential(1.0, 8)
@@ -277,7 +282,7 @@ class TestNestedBuild:
 
     def test_gradient_finite_differences_dim32(self):
         specs = [normalize_spec(linf(16)), normalize_spec(topk(16, 4))]
-        node = build_nested_max_approx(specs, 16, 1.0, samples=400, seed=18)
+        node = build_nested_max_approx(specs, 1.0, samples=400, seed=18)
         rng = np.random.default_rng(19)
         x = rng.exponential(1.0, 32)
         g = node.gradient(x)
@@ -294,11 +299,12 @@ class TestNestedBuild:
     ])
     def test_leaf_kind_follows_the_inner_norms(self, texts, lp_leaves):
         """Shifted l-p leaves exactly when every inner norm is l-p or linf,
-        and the same surrogate as the grammar's nested:<r> builds."""
-        raw = [parse_norm_spec(t, dim=4) for t in texts]
-        specs = [normalize_spec(s) for s in raw]
+        and build_approx gives what the direct builders give: nested:<r> the
+        nested build, and sym the symmetric build of a single norm, which it
+        refuses for a list of more."""
+        specs = [normalize_spec(parse_norm_spec(t, dim=4)) for t in texts]
         r = len(specs)
-        node = build_nested_max_approx(specs, 4, 0.5, samples=300, seed=20)
+        node = build_nested_max_approx(specs, 0.5, samples=300, seed=20)
         leaves = [node] if r == 1 else [c.inner for c in node.children]
         for spec, leaf in zip(specs, leaves):
             if lp_leaves:
@@ -307,16 +313,23 @@ class TestNestedBuild:
             else:
                 assert isinstance(leaf, Outer) and leaf.norm_spec() == spec
         assert node.meta.stochastic is not lp_leaves
-        via_grammar = build_approx(f"nested:{r}", 4 * r, 0.5, samples=300, seed=20,
-                                   inner_norms=raw, machines=4)
-        assert via_grammar.meta == node.meta
+        pairs = [(build_approx(f"nested:{r}", specs, 0.5, samples=300, seed=20), node)]
+        if r == 1:
+            pairs.append((build_approx("sym", specs, 0.5, samples=300, seed=20),
+                          build_symmetric_approx(specs[0], 0.5, samples=300, seed=20)))
+        else:
+            with pytest.raises(ValueError, match="single norm"):
+                build_approx("sym", specs, 0.5, samples=300, seed=20)
         rng = np.random.default_rng(21)
-        for x in [np.zeros(4 * r)] + [rng.exponential(s, 4 * r) for s in (0.1, 1.0, 30.0)]:
-            assert via_grammar.value(x) == node.value(x)
-            assert (via_grammar.gradient(x) == node.gradient(x)).all()
+        points = [np.zeros(4 * r)] + [rng.exponential(s, 4 * r) for s in (0.1, 1.0, 30.0)]
+        for via_grammar, direct in pairs:
+            assert via_grammar.meta == direct.meta
+            for x in points:
+                assert via_grammar.value(x) == direct.value(x)
+                assert (via_grammar.gradient(x) == direct.gradient(x)).all()
 
     def test_lp_fast_path(self):
-        node = build_nested_max_approx([normalize_spec(l1(4))] * 2, 4, 1.0)
+        node = build_nested_max_approx([normalize_spec(l1(4))] * 2, 1.0)
         x = np.arange(8.0)
         # children are exact l1 sums under a smoothed max
         assert node.value(x) >= max(x[:4].sum(), x[4:].sum())

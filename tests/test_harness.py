@@ -297,9 +297,8 @@ class TestCliMatchesLibrary:
         assert proc.returncode == 0, proc.stderr
         inst = read_lb_instance(path)
 
-        def nested(dim, eps, seed):
-            return build_approx("nested:2", dim, eps, samples=300, seed=seed,
-                                inner_norms=inst.inner, machines=inst.m)
+        def nested(eps, seed):
+            return build_approx("nested:2", inst.inner, eps, samples=300, seed=seed)
 
         trace = run_greedy(inst, nested, ("auto", 1.0), seed=2, theta=8.0)
         assert open(out).read() == trace_json(trace)
@@ -328,8 +327,8 @@ class TestCliMatchesLibrary:
         inst = read_lb_instance(path)
         bench, _ = brute_force_opt(inst)
 
-        def sym(dim, eps, seed):
-            return build_approx("sym", dim, eps, samples=300, seed=seed, norm=inst.norm)
+        def sym(eps, seed):
+            return build_approx("sym", [inst.norm], eps, samples=300, seed=seed)
 
         rows, ratios = [], []
         for i in range(3):
@@ -357,9 +356,9 @@ class TestCliMatchesLibrary:
         for i in range(2):
             seed = derive_seed(1, "run", i)
             psi_seed = derive_seed(seed, "approx")
-            meta = build_approx("softmax", inst.d, 1.0, seed=psi_seed, norm=inst.norm).meta
-            psi = build_approx("softmax", inst.d, (meta.alpha + meta.gamma) / bench,
-                               seed=psi_seed, norm=inst.norm)
+            meta = build_approx("softmax", [inst.norm], 1.0, seed=psi_seed).meta
+            psi = build_approx("softmax", [inst.norm], (meta.alpha + meta.gamma) / bench,
+                               seed=psi_seed)
             tr = bwk_run(inst, psi, bench, seed=seed)
             rows.append([seed, tr.total_reward, tr.final_norm, tr.stopped_at, bench,
                          tr.total_reward / bench])
@@ -507,6 +506,20 @@ class TestOutOfContractInput:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("problem, approx, message", [
+        ("vs", "sym", "sym surrogate needs a single norm, got 2"),
+        ("vs", "nested:3", "expected 3 inner norms, got 2"),
+        ("lb", "nested:2", "expected 2 inner norms, got 1"),
+    ])
+    def test_surrogate_that_does_not_fit_the_instance(self, tmp_path, problem, approx, message):
+        path = str(tmp_path / "inst.jsonl")
+        run_cli("gen", "--problem", problem, "--m", "3", "--k", "2", "--T", "4", "--r", "2",
+                "--out", path)
+        proc = run_cli(problem, "run", "--instance", path, "--approx", approx)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert f"error: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_all_zero_instance_ratio_is_one(self, tmp_path):
         path = self.lb_file(tmp_path, {"m": 2, "k": 2, "T": 2}, [[[0.0, 0.0], [0.0, 0.0]]] * 2)

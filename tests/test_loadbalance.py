@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gradnorm import loadbalance
-from gradnorm.approx import build_approx
+from gradnorm.approx import ShiftedLpApprox, SoftmaxApprox, build_approx
 from gradnorm.loadbalance import (
     LbInstance,
     brute_force_opt,
@@ -27,13 +27,16 @@ GOLDEN_UNIFORM_M3K2T8_SEED42 = 3.615046426380739
 GOLDEN_ASSIGNMENT = (1, 0, 1, 0, 1, 1, 0, 0)
 
 
-def softmax_builder(dim, eps, seed):
-    return build_approx("softmax", dim, eps, seed=seed)
+def softmax_builder_for(dim):
+    def build(eps, seed):
+        return SoftmaxApprox(dim, eps)
+
+    return build
 
 
 def sym_builder_for(norm):
-    def build(dim, eps, seed):
-        return build_approx("sym", dim, eps, samples=800, seed=seed, norm=norm)
+    def build(eps, seed):
+        return build_approx("sym", [norm], eps, samples=800, seed=seed)
 
     return build
 
@@ -45,14 +48,14 @@ def random_instance(rng, m=3, k=2, T=8, norm=None):
 
 class TestGreedyStep:
     def test_linear_picks_min_total_mass(self):
-        psi = build_approx("slp:1", 3, 1.0)
+        psi = ShiftedLpApprox(3, 1.0, 1.0)
         C = np.array([[1.0, 0.2], [1.0, 0.2], [0.0, 1.5]])
         j, v = greedy_step(psi, np.zeros(3), C)
         assert j == 1  # 1.9 < 2.0
         assert v == psi.value(np.zeros(3) + C[:, j])
 
     def test_sharp_softmax_tracks_max(self):
-        psi = build_approx("softmax", 3, 50.0)
+        psi = SoftmaxApprox(3, 50.0)
         C = np.diag([3.0, 1.0, 2.0])
         j, v = greedy_step(psi, np.zeros(3), C)
         assert j == 1
@@ -60,7 +63,7 @@ class TestGreedyStep:
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(0)
-        psi = build_approx("softmax", 3, 1.0)
+        psi = SoftmaxApprox(3, 1.0)
         loads = rng.uniform(0, 2, 3)
         C = rng.uniform(0, 1, (3, 2))
         values = [psi.value(loads + C[:, j]) for j in range(2)]
@@ -69,7 +72,7 @@ class TestGreedyStep:
         assert v == psi.value(loads + C[:, j])
 
     def test_tie_breaks_low_index(self):
-        psi = build_approx("slp:1", 2, 1.0)
+        psi = ShiftedLpApprox(2, 1.0, 1.0)
         C = np.array([[0.5, 0.5], [0.5, 0.5]])
         j, v = greedy_step(psi, np.zeros(2), C)
         assert j == 0
@@ -176,7 +179,7 @@ class TestRunGreedy:
         rng = np.random.default_rng(2)
         inst = random_instance(rng, T=1)
         opt, _ = brute_force_opt(inst)
-        trace = run_greedy(inst, softmax_builder, ("given", max(opt, 1e-9)), seed=3)
+        trace = run_greedy(inst, softmax_builder_for(inst.dim), ("given", max(opt, 1e-9)), seed=3)
         assert trace.final_norm == pytest.approx(opt)
 
     def test_identical_machines_ratio_one(self):
@@ -184,17 +187,17 @@ class TestRunGreedy:
         jobs = [np.tile(rng.uniform(0, 1, (3, 1)), (1, 2)) for _ in range(6)]
         inst = LbInstance(m=3, k=2, T=6, jobs=jobs, norm=normalize_spec(linf(3)))
         opt, _ = brute_force_opt(inst)
-        trace = run_greedy(inst, softmax_builder, ("given", opt), seed=4)
+        trace = run_greedy(inst, softmax_builder_for(inst.dim), ("given", opt), seed=4)
         assert trace.final_norm == pytest.approx(opt, rel=1e-12)
 
     def test_trace_reconstruction_and_telescoping(self):
         rng = np.random.default_rng(4)
         inst = random_instance(rng)
         opt, _ = brute_force_opt(inst)
-        trace = run_greedy(inst, softmax_builder, ("given", opt), seed=5)
+        trace = run_greedy(inst, softmax_builder_for(inst.dim), ("given", opt), seed=5)
         # loads reconstruct exactly from the recorded choices
         loads = np.zeros(3)
-        psi = softmax_builder(3, trace.phase_epsilons[0], trace.phase_seeds[0])
+        psi = SoftmaxApprox(3, trace.phase_epsilons[0])
         lhs = 0.0
         for t in range(inst.T):
             step = inst.columns(t)[:, trace.choices[t]]
@@ -213,7 +216,7 @@ class TestRunGreedy:
         builder = sym_builder_for(norm)
         opt, _ = brute_force_opt(inst)
         trace = run_greedy(inst, builder, ("given", opt), seed=6)
-        psi = builder(4, trace.phase_epsilons[0], trace.phase_seeds[0])
+        psi = builder(trace.phase_epsilons[0], trace.phase_seeds[0])
         prev = np.zeros(4)
         for t in range(inst.T):
             cols = inst.columns(t)
@@ -232,13 +235,13 @@ class TestRunGreedy:
         assert len(trace.phase_seeds) >= 2  # covers a rebuild of the surrogate
         for t in range(inst.T):
             phase = trace.phases[t]
-            psi = builder(8, trace.phase_epsilons[phase], trace.phase_seeds[phase])
+            psi = builder(trace.phase_epsilons[phase], trace.phase_seeds[phase])
             assert trace.psi_values[t] == psi.value(trace.loads[t])
 
     def test_auto_double_rebuilds_and_keeps_loads(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng, T=12)
-        trace = run_greedy(inst, softmax_builder, ("auto", 1e-3), seed=7)
+        trace = run_greedy(inst, softmax_builder_for(inst.dim), ("auto", 1e-3), seed=7)
         assert len(trace.phase_seeds) >= 2  # tiny initial guess forces doubling
         assert trace.phases[-1] == len(trace.phase_seeds) - 1
         assert (np.diff(trace.phase_guesses) > 0).all()
@@ -254,7 +257,7 @@ class TestRunGreedy:
         for i in range(10):
             inst = random_instance(rng, m=4, k=2, T=10)
             opt, _ = brute_force_opt(inst)
-            trace = run_greedy(inst, softmax_builder, ("given", opt), seed=i)
+            trace = run_greedy(inst, softmax_builder_for(inst.dim), ("given", opt), seed=i)
             worst = max(worst, trace.final_norm / opt)
         assert worst <= 2.0  # far below the alpha+gamma guarantee at m=4
 
@@ -262,9 +265,9 @@ class TestRunGreedy:
         rng = np.random.default_rng(8)
         inst = random_instance(rng, T=2)
         with pytest.raises(ValueError):
-            run_greedy(inst, softmax_builder, ("nope", 1.0))
+            run_greedy(inst, softmax_builder_for(inst.dim), ("nope", 1.0))
         with pytest.raises(ValueError):
-            run_greedy(inst, softmax_builder, ("auto", 0.0))
+            run_greedy(inst, softmax_builder_for(inst.dim), ("auto", 0.0))
 
 
 class TestVectorScheduling:
@@ -291,9 +294,8 @@ class TestVectorScheduling:
         plain_jobs = [t[:, :, 0].T for t in tensors]
         plain = LbInstance(m=m, k=k, T=T, jobs=plain_jobs, norm=norm)
 
-        def nested_builder(dim, eps, seed):
-            return build_approx("nested:1", dim, eps, samples=800, seed=seed,
-                                inner_norms=[norm], machines=m)
+        def nested_builder(eps, seed):
+            return build_approx("nested:1", [norm], eps, samples=800, seed=seed)
 
         a = run_greedy(vs_inst, nested_builder, ("given", 2.0), seed=11)
         b = run_greedy(plain, sym_builder_for(norm), ("given", 2.0), seed=11)
@@ -312,9 +314,8 @@ class TestVectorScheduling:
         inner = [normalize_spec(linf(m))] * 2
         inst = LbInstance(m=m, k=k, T=T, jobs=tensors, r=2, inner=inner)
 
-        def nested_builder(dim, eps, seed):
-            return build_approx("nested:2", dim, eps, samples=800, seed=seed,
-                                inner_norms=inner, machines=m)
+        def nested_builder(eps, seed):
+            return build_approx("nested:2", inner, eps, samples=800, seed=seed)
 
         trace = run_greedy(inst, nested_builder, ("given", 2.0), seed=12)
         # objective equals the live resource's norm exactly
@@ -328,9 +329,8 @@ class TestVectorScheduling:
         inst = self.vs_instance(rng)
         opt, _ = brute_force_opt(inst)
 
-        def nested_builder(dim, eps, seed):
-            return build_approx("nested:2", dim, eps, samples=600, seed=seed,
-                                inner_norms=inst.inner, machines=inst.m)
+        def nested_builder(eps, seed):
+            return build_approx("nested:2", inst.inner, eps, samples=600, seed=seed)
 
         trace = run_greedy(inst, nested_builder, ("given", opt), seed=13)
         assert trace.final_norm / opt <= 2.5

@@ -55,6 +55,17 @@ def test_format_inverts_parse(case):
     assert format_norm_spec(spec) == text
 
 
+@pytest.mark.parametrize("text, d, written", [
+    ("lp:1.0000001", 3, "lp:1.0000001"),
+    ("ordered:3,2,1", 3, "ordered:1,0.6666666666666666,0.3333333333333333"),
+    ("ordered:1,0.123456789,0.1", 3, "ordered:1,0.123456789,0.1"),
+    ("orlicz:pow:1.0000001", 3, "orlicz:pow:1.0000001"),
+])
+def test_format_keeps_every_digit(text, d, written):
+    """Numbers that six significant digits would round are written in full."""
+    assert format_norm_spec(normalize_spec(parse_norm_spec(text, dim=d))) == written
+
+
 @st.composite
 def norm_and_vectors(draw):
     """A normalized linf, lp, topk or ordered norm and two non-negative vectors."""
@@ -111,3 +122,11 @@ def test_subgradient_is_a_dual_maximizer(case):
     assert (u >= 0).all()
     assert abs(u @ x - nx) <= 1e3 * slack(nx)
     assert u @ y <= ny + 1e3 * slack(ny)
+
+
+@PROPERTY
+@given(norm_and_vectors())
+def test_normalized_specs_round_trip(case):
+    """parse(format(s)) == s for normalized specs with arbitrary float parameters."""
+    spec = case[0]
+    assert parse_norm_spec(format_norm_spec(spec), dim=spec.dim) == spec

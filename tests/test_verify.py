@@ -212,11 +212,11 @@ class TestConverseJensen:
         inst = LbInstance(m=4, k=2, T=12, jobs=jobs, norm=spec)
         opt, _ = brute_force_opt(inst)
 
-        def builder(d, e, s):
-            return build_approx("sym", d, e, samples=800, seed=s, norm=spec)
+        def builder(e, s):
+            return build_approx("sym", [spec], e, samples=800, seed=s)
 
         trace = run_greedy(inst, builder, ("given", opt), seed=5)
-        psi = builder(4, trace.phase_epsilons[0], trace.phase_seeds[0])
+        psi = builder(trace.phase_epsilons[0], trace.phase_seeds[0])
         steps = np.diff(np.vstack([np.zeros(4), trace.loads]), axis=0)
         cap = max(eval_norm(topk(4, 2), s) for s in steps) + 1e-9
         rep = check_converse_jensen(psi, 10.0, cap, norm=spec, sequences=[steps])

@@ -138,6 +138,12 @@ COMMANDS = [
                                "--out", "lb-ordered-nan.jsonl"], None),
     ("usage-verify-slp-nan", ["verify", "--approx", "slp:nan", "--norm", "linf", "--dim", "6",
                               "--check", "structure"], None),
+    ("usage-vs-sym", ["vs", "run", "--instance", "vs.jsonl", "--approx", "sym"], None),
+    ("usage-nested-r-mismatch", ["vs", "run", "--instance", "vs.jsonl", "--approx", "nested:3"],
+     None),
+    ("usage-samples-cap", ["verify", "--approx", "gstopk:4", "--norm", "topk:4", "--dim", "64",
+                           "--samples", "1000000000", "--trials", "1", "--check", "stability"],
+     None),
 ]
 
 

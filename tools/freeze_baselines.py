@@ -1,18 +1,22 @@
 """Measure the first-build baselines frozen into tests/test_acceptance.py.
 
 Run once after any intentional algorithm change, then paste the printed
-dictionaries over the frozen constants in the acceptance module.  Everything
-here is seeded, so reruns on the same code print identical numbers.
+dictionaries over the frozen constants in the acceptance module:
+
+    python tools/freeze_baselines.py
+
+The package is imported from the ``src/`` of the checkout this file lives
+in.  Everything here is seeded, so reruns on the same code print identical
+numbers.
 """
 
 from __future__ import annotations
 
-import math
+import os
 import sys
 
-import numpy as np
-
-sys.path.insert(0, "tests")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import test_acceptance as acc  # noqa: E402
 
