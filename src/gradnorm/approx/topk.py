@@ -21,30 +21,30 @@ Gradients and the paired margins of the stability check count, per
 coordinate, the samples whose top K_s contains it, in a float32 kernel;
 counts stay exact (exactly K_s coordinates per sample, ties broken by value
 then lowest index).  A coordinate is a member when z >= the K_s-th largest
-entry of z = x + nu_s.  The kernel is coordinate-major and blocked: the
-samples are stored in rank order and cut into blocks of 24576, and a block's
-z is a (d, n) array with one length-n row per coordinate.  Its thresholds come
-from a sorting network over those rows, Batcher's odd-even merge sort pruned
-to d wires (63 comparators at d = 16) and to the sorted rows that the ranks
-present in the block need: a block of rank-1 samples needs only the maximum
-(15 comparators at d = 16).  A comparator is one np.minimum and one
-np.maximum over whole rows into a pool of scratch rows, and the network
-moves row indices, not data.  Each rank's threshold is then one slice of
-sorted row d - K, members are one >= over the block, and counts are one
-np.count_nonzero per row, added as integers over the blocks, so every
-returned float comes from the same integers as an unblocked count.  A
-block's z, pool rows, thresholds and two masks are views of the scratch
-(below), cached per (d, n, pool size): 4.1 MB at d = 16 and 16 MB at
-d = 64, where (d, S) buffers at S = 100k took 17 and 65 MB per instance and
-thread.  S <= 24576 runs as one block.  ``gradient`` and
-``pair_margin_stats`` order an infinity like any other value, but a NaN in x or y, or one made by adding +inf to -inf,
-raises ValueError, since the network would spread it to every row it
-meets; only non-finite input pays for that test.  On one core of a shared 2-vCPU Xeon VM, the paired kernel
-at S = 100k takes 6-8 ms a call at d = 16 and 48-74 ms at d = 64, against
-11-14 and 92-115 ms for one unblocked pass over (d, S) buffers measured
-alongside.  A gradient at S = 2000, d = 64 is one block and takes about
-0.9 ms, mostly call overhead: each of the network's row steps (up to 543 at
-d = 64) is a separate numpy call.
+entry of z = x + nu_s.  The samples are stored in rank order and counted by
+rank group.  Rank-d samples (a share q^(d-1): 38% for k = d = 16) hold every
+coordinate, so with finite x and y they add their number to every count
+without being run.  Rank-1 samples, when there are at least 4096, get blocks
+of their own, whose threshold is only the maximum.  The other ranks share
+blocks.  Each group is cut into blocks of at most 12288 samples, about 2 MB
+of scratch at d = 16, to fit one core's L2.  A block's z is a (d, n) array
+with one length-n row per coordinate.  Its thresholds come from a sorting
+network over those rows, Batcher's odd-even merge sort pruned to d wires (63
+comparators at d = 16) and to the sorted rows that the ranks present in the
+block need: a rank-1 block needs 15 comparators at d = 16.  A comparator is
+one np.minimum and one np.maximum over whole rows into a pool of scratch
+rows, and the network moves row indices, not data.  Each rank's threshold is
+then one slice of sorted row d - K, members are one >= over the block, and
+counts are one np.count_nonzero per row, added as integers over the blocks,
+so every returned float comes from the same integers as an unblocked count.
+A block's z, pool rows, thresholds and two masks are views of the scratch
+(below), cached per (d, n, pool size).  ``gradient`` and
+``pair_margin_stats`` order an infinity like any other value, but a NaN in x
+or y, or one made by adding +inf to -inf, raises ValueError, since the
+network would spread it to every row it meets; only non-finite input pays
+for that test, and it runs the rank-d blocks too.  Each of the network's row
+steps (up to 543 at d = 64) is a separate numpy call, so a gradient at
+S = 2000 is mostly call overhead.
 
 The value kernel computes every sample's top-K_s sum in float64, adding the
 K_s largest entries of x + nu_s one at a time, largest first: the order of a
@@ -74,12 +74,8 @@ from .base import ApproxMeta, GradStableApprox
 __all__ = ["TopKApprox"]
 
 _SCRATCH_FLOATS = 1 << 17  # float64 value-kernel floats per row chunk: 1 MiB
-# membership-kernel samples per block.  Half as many run one thread about
-# 10% faster, but two threads on one instance (verify's jobs = 2) then run
-# slower than with no blocks at all: each row step is a numpy call that
-# hands the interpreter lock to the other thread, and shorter rows make
-# more of them.
-_BLOCK_SAMPLES = 24576
+_BLOCK_SAMPLES = 12288  # membership-kernel samples per block at most: 2 MB live at d = 16
+_RANK1_MIN = 4096  # rank-1 samples that get blocks of their own, at least
 
 
 class _Scratch(threading.local):
@@ -224,7 +220,9 @@ class _MembershipPlan(NamedTuple):
     order: np.ndarray  # stable argsort of the ranks: the kernel's sample order
     ranks: np.ndarray  # the ranks in that order, ascending
     pool_rows: int  # the most pool rows any block's steps use
-    blocks: list[_Block]
+    blocks: list[_Block]  # rank-1 (when at least _RANK1_MIN), ranks below d, then rank d
+    below: int  # blocks[:below] hold the samples of rank below d
+    full: int  # samples of rank d: every coordinate is among their top d
 
 
 class TopKApprox(GradStableApprox):
@@ -277,8 +275,8 @@ class TopKApprox(GradStableApprox):
         check = not np.isfinite(x32).all()
         noise32 = self._noise_f32()
         plan = self._plan
-        counts = 0
-        for blk in plan.blocks:
+        blocks, counts = self._blocks(check)
+        for blk in blocks:
             v = _block_views(self.dim, blk.hi - blk.lo, plan.pool_rows)
             np.add(noise32[:, blk.lo : blk.hi], x32[:, None], out=v.z)
             if check:
@@ -298,8 +296,9 @@ class TopKApprox(GradStableApprox):
         check = not (np.isfinite(x32).all() and np.isfinite(y32).all())
         noise32 = self._noise_f32()
         plan = self._plan
-        c0 = c1 = c10 = 0  # integer member counts, summed over the blocks
-        for blk in plan.blocks:
+        blocks, c0 = self._blocks(check)
+        c1 = c10 = c0  # integer member counts, summed over the blocks
+        for blk in blocks:
             v = _block_views(self.dim, blk.hi - blk.lo, plan.pool_rows)
             z = v.z
             np.add(noise32[:, blk.lo : blk.hi], x32[:, None], out=z)
@@ -376,23 +375,39 @@ class TopKApprox(GradStableApprox):
 
     @functools.cached_property
     def _plan(self) -> _MembershipPlan:
-        """Samples in rank order, cut into blocks of _BLOCK_SAMPLES, so each
-        rank's thresholds in a block are one slice; each block gets the
-        network steps that leave the sorted rows its ranks need.  Built on
-        first use: instances that only take values never need it."""
-        d = self.dim
+        """Samples in rank order, cut into rank groups and those into blocks of
+        at most _BLOCK_SAMPLES, so each rank's thresholds in a block are one
+        slice; each block gets the network steps that leave the sorted rows
+        its ranks need.  Built on first use: instances that only take values
+        never need it."""
+        d, S = self.dim, self.samples
         order = np.argsort(self.ranks, kind="stable")
         ranks = self.ranks[order]
+        top = int(np.searchsorted(ranks, d))  # rank-d samples are order[top:]
+        ones = min(int(np.searchsorted(ranks, 2)), top)
+        groups = [0, ones if ones >= _RANK1_MIN else 0, top, S]
         blocks, pool_rows = [], 0
-        for lo in range(0, self.samples, _BLOCK_SAMPLES):
-            hi = min(self.samples, lo + _BLOCK_SAMPLES)
-            edges = np.searchsorted(ranks[lo:hi], np.arange(1, d + 2))
-            present = [r for r in range(1, d + 1) if edges[r] > edges[r - 1]]
-            steps, wire, pool = _network_plan(d, [d - r for r in present])
-            pool_rows = max(pool_rows, pool)
-            thr_slices = [(int(edges[r - 1]), int(edges[r]), wire[d - r]) for r in present]
-            blocks.append(_Block(lo, hi, steps, thr_slices, int(ranks[lo:hi].sum())))
-        return _MembershipPlan(order, ranks, pool_rows, blocks)
+        for a, b in zip(groups, groups[1:]):
+            nb = -(-(b - a) // _BLOCK_SAMPLES)
+            for i in range(nb):
+                lo, hi = a + (b - a) * i // nb, a + (b - a) * (i + 1) // nb
+                edges = np.searchsorted(ranks[lo:hi], np.arange(1, d + 2))
+                present = [r for r in range(1, d + 1) if edges[r] > edges[r - 1]]
+                steps, wire, pool = _network_plan(d, [d - r for r in present])
+                pool_rows = max(pool_rows, pool)
+                thr_slices = [(int(edges[r - 1]), int(edges[r]), wire[d - r]) for r in present]
+                blocks.append(_Block(lo, hi, steps, thr_slices, int(ranks[lo:hi].sum())))
+        below = sum(blk.lo < top for blk in blocks)
+        return _MembershipPlan(order, ranks, pool_rows, blocks, below, S - top)
+
+    def _blocks(self, check: bool) -> tuple[list[_Block], np.ndarray]:
+        """The blocks to run and the member counts they add to.  With finite
+        input the rank-d samples are counted at every coordinate unrun; a
+        non-finite input runs them too, to order infinities and refuse NaN."""
+        plan = self._plan
+        if check:
+            return plan.blocks, np.zeros(self.dim, dtype=np.int64)
+        return plan.blocks[: plan.below], np.full(self.dim, plan.full, dtype=np.int64)
 
     def _noise_f32(self) -> np.ndarray:
         """float32 (d, S) noise in rank order, built on first use from ``noise``."""

@@ -153,9 +153,17 @@ class GeneratorSpec:
         kinds = {"problem": str, "inner": "norms", "budget": float}  # else the default's type
         spec = cls(**{f.name: _get(config, f.name, f.default, kinds.get(f.name, type(f.default)))
                       for f in fields(cls)})
+        unused = [key for key in _UNUSED.get(spec.problem, ()) if config.get(key) is not None]
+        if unused:
+            raise ValueError(f"{unused[0]} is not used by --problem {spec.problem}")
         if isinstance(spec.inner, str):
             spec.inner = spec.inner.split(",")
         return spec
+
+
+_UNUSED = {  # problem -> the gen entries it does not read
+    "lb": ("n", "d", "r", "inner", "budget"), "vs": ("n", "d", "budget"),
+    "bwk": ("m", "k", "r", "inner"), "bvc": ("m", "k", "r", "inner", "budget")}
 
 
 def _lb_jobs(spec: GeneratorSpec, rng: np.random.Generator) -> list[np.ndarray]:

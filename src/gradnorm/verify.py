@@ -168,14 +168,12 @@ def check_gradient_stability(
     abs_tol: float = 1e-9,
     spike_ranks: Sequence[int] | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> CheckReport:
     """Coordinate-wise grad(x+y) >= exp(-eps*||y|| - delta) * grad(x).
 
     ``||y||`` is the approximated norm itself (``norm`` defaults to the
     surrogate's own declaration), and eps is the declared stability scale.
-    Trials derive independent streams from (seed, index), so running them on
-    ``jobs`` threads changes nothing but the wall time.
+    Trials derive independent streams from (seed, index).
     """
     spec = norm if norm is not None else approx.norm_spec()
     if spec is None:
@@ -186,7 +184,8 @@ def check_gradient_stability(
     dim = approx.dim
     norm_of = lambda v: eval_norm(spec, v)
 
-    def one_trial(t: int):
+    tally = _Tally(abs_tol, trials)
+    for t in range(trials):
         rng = derive_rng(seed, "stability", t)
         x = _sample_point(rng, dim, meta.epsilon)
         y = _sample_increment(rng, dim, y_cap, norm_of, x, spike_ranks)
@@ -194,19 +193,7 @@ def check_gradient_stability(
         margin, se = approx.pair_margin_stats(x, y, 1.0, coeff)
         tol = np.maximum(abs_tol, 3.0 * se)
         i = int(np.argmin(margin))
-        return bool((margin < -tol).any()), float(margin[i]), float(tol[i]), i, x, y, coeff
-
-    tally = _Tally(abs_tol, trials)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
-
-    for t, (bad, margin_min, tol_min, i, x, y, coeff) in enumerate(results):
-        tally.add(margin_min, tol_min, violated=bad,
+        tally.add(float(margin[i]), float(tol[i]), violated=bool((margin < -tol).any()),
                   witness=lambda: {"x": x, "y": y, "coordinate": i, "coeff": coeff, "trial": t})
     return tally.report("gradient-stability", seed,
                         {"delta": dlt, "stability_epsilon": eps_stab, "y_cap": y_cap})

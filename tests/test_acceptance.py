@@ -7,9 +7,11 @@ tolerances are part of each criterion.  Run with ``pytest -v -s``.
 
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -145,28 +147,31 @@ def test_criterion_02_shifted_lp_sandwich():
 # --- criterion 3: perturbed top-k stability at delta = 1/4 -----------------------
 
 
+def _c3_config(k: int, d: int, eps: float):
+    tk = TopKApprox(d, k, eps, samples=100_000, seed=derive_seed(MASTER, "c3", k, d, str(eps)))
+    return check_gradient_stability(
+        tk,
+        normalize_spec(topk(d, k)),
+        delta=0.25,
+        trials=1000,
+        y_cap=1.0,
+        spike_ranks=[k, min(k + 1, d)],
+        seed=derive_seed(MASTER, "c3probes", k, d, str(eps)),
+    )
+
+
 def test_criterion_03_topk_stability():
+    """The 12 configs run on 2 worker processes, one thread each."""
     t0 = time.perf_counter()
     failures = []
     details = []
-    for k in (1, 4, 16):
-        for d in (16, 64):
-            for eps in (0.1, 1.0):
-                tk = TopKApprox(d, k, eps, samples=100_000,
-                                    seed=derive_seed(MASTER, "c3", k, d, str(eps)))
-                rep = check_gradient_stability(
-                    tk,
-                    normalize_spec(topk(d, k)),
-                    delta=0.25,
-                    trials=1000,
-                    y_cap=1.0,
-                    spike_ranks=[k, min(k + 1, d)],
-                    seed=derive_seed(MASTER, "c3probes", k, d, str(eps)),
-                    jobs=2,
-                )
-                details.append(f"k={k},d={d},eps={eps}: worst={rep.worst_margin:.4f}")
-                if not rep.passed:
-                    failures.append((k, d, eps, rep.worst_margin, rep.violations))
+    configs = [(k, d, eps) for k in (1, 4, 16) for d in (16, 64) for eps in (0.1, 1.0)]
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        reports = list(pool.map(_c3_config, *zip(*configs)))
+    for (k, d, eps), rep in zip(configs, reports):
+        details.append(f"k={k},d={d},eps={eps}: worst={rep.worst_margin:.4f}")
+        if not rep.passed:
+            failures.append((k, d, eps, rep.worst_margin, rep.violations))
     elapsed = time.perf_counter() - t0
     report(
         "03 topk-stability",

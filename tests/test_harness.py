@@ -106,6 +106,31 @@ class TestGenerate:
         assert "error: scale must be 1.0" in proc.stderr
         assert "Traceback" not in proc.stderr and not path.exists()
 
+    @pytest.mark.parametrize("problem, flags, key", [
+        ("lb", ["--m", "3", "--k", "2", "--T", "2", "--r", "2", "--inner", "linf,l1"], "r"),
+        ("lb", ["--inner", "linf,l1"], "inner"),
+        ("lb", ["--n", "2"], "n"),
+        ("lb", ["--budget", "3"], "budget"),
+        ("vs", ["--d", "2"], "d"),
+        ("vs", ["--budget", "3"], "budget"),
+        ("bvc", ["--m", "3", "--k", "2"], "m"),
+        ("bvc", ["--k", "2"], "k"),
+        ("bvc", ["--budget", "3"], "budget"),
+        ("bwk", ["--r", "2"], "r"),
+        ("bwk", ["--inner", "linf"], "inner"),
+    ])
+    def test_unused_flag_refused(self, tmp_path, problem, flags, key):
+        """A flag the problem does not read exits 2 naming it, not silently dropped."""
+        path = tmp_path / "x.jsonl"
+        proc = run_cli("gen", "--problem", problem, *flags, "--out", str(path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert f"error: {key} is not used by --problem {problem}" in proc.stderr
+        assert "Traceback" not in proc.stderr and not path.exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))  # a null entry is absent
+        proc = run_cli("gen", "--problem", problem, "--config", str(cfg), "--out", str(path))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 class TestAtomicOutputs:
     def test_no_temp_residue(self, tmp_path):
@@ -514,8 +539,8 @@ class TestOutOfContractInput:
     ])
     def test_surrogate_that_does_not_fit_the_instance(self, tmp_path, problem, approx, message):
         path = str(tmp_path / "inst.jsonl")
-        run_cli("gen", "--problem", problem, "--m", "3", "--k", "2", "--T", "4", "--r", "2",
-                "--out", path)
+        run_cli("gen", "--problem", problem, "--m", "3", "--k", "2", "--T", "4",
+                *(["--r", "2"] if problem == "vs" else []), "--out", path)
         proc = run_cli(problem, "run", "--instance", path, "--approx", approx)
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert f"error: {message}" in proc.stderr

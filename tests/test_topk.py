@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from gradnorm.approx import TopKApprox
-from gradnorm.approx.topk import _BLOCK_SAMPLES, _SCRATCH_FLOATS, _merge_network, _network_plan
+from gradnorm.approx.topk import (
+    _BLOCK_SAMPLES,
+    _RANK1_MIN,
+    _SCRATCH_FLOATS,
+    _merge_network,
+    _network_plan,
+)
 from gradnorm.norms import eval_norm, topk
 from helpers import mean_rank
 
@@ -389,13 +395,50 @@ class TestMembershipKernelBitExact:
         assert errors == []
 
 
+def group_sizes(ranks, d):
+    """Sample counts of the kernel's rank groups: rank 1 when at least
+    _RANK1_MIN, the ranks below d, rank d; empty groups left out."""
+    top = int((ranks == d).sum())
+    ones = int((ranks == 1).sum()) if d > 1 else 0
+    ones = ones if ones >= _RANK1_MIN else 0
+    return [n for n in (ones, len(ranks) - ones - top, top) if n]
+
+
+def with_ranks(d, k, ones, mid, top, seed):
+    """An instance whose ranks are ``ones`` 1s, ``mid`` ranks in 2..d-1 and
+    ``top`` ds, shuffled; set before the membership plan is first built."""
+    tk = TopKApprox(d, k, 1.0, samples=ones + mid + top, seed=seed)
+    rng = np.random.default_rng(seed)
+    ranks = np.concatenate([np.ones(ones), rng.integers(2, d, mid), np.full(top, d)])
+    tk.ranks = rng.permutation(ranks).astype(np.int64)
+    return tk
+
+
 class TestMembershipBlocks:
-    """The membership kernel runs over blocks of _BLOCK_SAMPLES samples in
-    rank order through one scratch per thread; its outputs equal the row-sort
-    formula float for float at every block border."""
+    """The membership kernel runs over rank groups cut into blocks of at most
+    _BLOCK_SAMPLES samples in rank order, through one scratch per thread; its
+    outputs equal the row-sort formula float for float at every group and
+    block border."""
 
     L = _BLOCK_SAMPLES
     assert_exact = TestMembershipKernelBitExact.assert_exact
+
+    def assert_groups(self, tk):
+        """Each group is cut into the fewest blocks of at most L samples, and
+        the blocks cover the samples in rank order, rank-d blocks last."""
+        plan = tk._plan
+        sizes = group_sizes(tk.ranks, tk.dim)
+        assert len(plan.blocks) == sum(-(-n // self.L) for n in sizes)
+        assert [b.lo for b in plan.blocks] == [0] + [b.hi for b in plan.blocks[:-1]]
+        assert plan.blocks[-1].hi == tk.samples
+        assert all(0 < b.hi - b.lo <= self.L for b in plan.blocks)
+        edges = np.cumsum([0] + sizes)
+        for b in plan.blocks:  # inside one group
+            g = np.searchsorted(edges, b.lo, side="right") - 1
+            assert edges[g] <= b.lo < b.hi <= edges[g + 1]
+        assert plan.full == int((tk.ranks == tk.dim).sum())
+        assert all(b.lo < tk.samples - plan.full for b in plan.blocks[: plan.below])
+        assert all(b.lo >= tk.samples - plan.full for b in plan.blocks[plan.below :])
 
     @pytest.mark.parametrize("d", [16, 64])
     @pytest.mark.parametrize("extra", [-1, 0, 1, _BLOCK_SAMPLES + 3])
@@ -404,18 +447,87 @@ class TestMembershipBlocks:
         rng = np.random.default_rng(80 + d + extra)
         for k in (1, d // 2, d):
             tk = TopKApprox(d, k, 0.5, samples=S, seed=81 + k)
-            assert len(tk._plan.blocks) == -(-S // self.L)
+            self.assert_groups(tk)
             self.assert_exact(tk, rng.exponential(1.0, d), rng.exponential(0.3, d))
+
+    @pytest.mark.parametrize("d", [1, 8, 16, 17, 64])
+    @pytest.mark.parametrize("S", [1, _RANK1_MIN - 1, _RANK1_MIN + 1, _BLOCK_SAMPLES + 1,
+                                   2 * _BLOCK_SAMPLES + 1])
+    def test_rank_groups_bit_exact(self, d, S):
+        rng = np.random.default_rng(d * S)
+        for k in sorted({1, min(2, d), max(1, d - 1), d}):
+            tk = TopKApprox(d, k, 0.5, samples=S, seed=S + k)
+            self.assert_groups(tk)
+            for scale in (0.0, 1.0):
+                self.assert_exact(tk, rng.exponential(1.0, d) * scale, rng.exponential(0.3, d))
+
+    @pytest.mark.parametrize("ones", [_RANK1_MIN - 1, _RANK1_MIN, _RANK1_MIN + 1])
+    @pytest.mark.parametrize("top", [0, 1, _BLOCK_SAMPLES, _BLOCK_SAMPLES + 1])
+    def test_group_borders(self, ones, top):
+        """The rank-1 group starts at _RANK1_MIN samples; a rank-d group of
+        L + 1 samples takes two blocks, and its blocks are skipped for
+        finite input."""
+        d = 16
+        tk = with_ranks(d, 4, ones, 300, top, seed=ones + top)
+        self.assert_groups(tk)
+        assert (tk._plan.blocks[0].hi <= ones) == (ones >= _RANK1_MIN)
+        assert len(tk._plan.blocks) - tk._plan.below == -(-top // self.L)
+        rng = np.random.default_rng(top)
+        self.assert_exact(tk, rng.exponential(1.0, d), rng.exponential(0.3, d))
 
     def test_tie_group_across_a_block_border(self):
         d, L = 16, self.L
         rng = np.random.default_rng(82)
         for k in (1, 3, d):
             tk = TopKApprox(d, k, 1.0, samples=2 * L + 3, seed=83 + k)
-            tk.noise[tk._plan.order[L - 40 : L + 40]] = 0.0  # tied samples on both sides of L
+            for blk in tk._plan.blocks[1:]:  # tied samples on both sides of every border
+                tk.noise[tk._plan.order[blk.lo - 40 : blk.lo + 40]] = 0.0
             tk._noise32 = None  # drop the cached float32 copy
             for x in (np.ones(d), rng.integers(0, 3, d).astype(float)):
                 self.assert_exact(tk, x, rng.integers(0, 2, d).astype(float))
+
+    def test_ties_across_group_borders(self):
+        """Zeroed noise ties whole samples on both sides of the rank-1 and the
+        rank-d group borders."""
+        d = 16
+        tk = with_ranks(d, 4, _RANK1_MIN + 50, 2000, 3000, seed=99)
+        plan = tk._plan
+        borders = [_RANK1_MIN + 50, tk.samples - plan.full]
+        assert {b.lo for b in plan.blocks} >= set(borders)
+        for at in borders:
+            tk.noise[plan.order[at - 60 : at + 60]] = 0.0
+        tk._noise32 = None
+        rng = np.random.default_rng(98)
+        for x in (np.ones(d), np.zeros(d), rng.integers(0, 3, d).astype(float)):
+            self.assert_exact(tk, x, rng.integers(0, 2, d).astype(float))
+
+    @pytest.mark.parametrize("d", [1, 16])
+    def test_non_finite_input_runs_the_rank_d_group(self, d):
+        """A rank-d group that finite input skips still orders +inf, and
+        still refuses NaN and +inf added to -inf."""
+        tk = TopKApprox(d, d, 1.0, samples=3000, seed=97)
+        assert tk._plan.full > 0
+        rng = np.random.default_rng(96)
+        x = rng.exponential(1.0, d)
+        inf_at = np.where(np.arange(d) == d - 1, np.inf, 0.5)
+        self.assert_exact(tk, x, inf_at)
+        self.assert_exact(tk, np.where(np.arange(d) == 0, np.inf, x), np.zeros(d))
+        self.assert_exact(tk, np.full(d, -np.inf), np.zeros(d))
+        nan_at = np.where(np.arange(d) == 0, np.nan, 1.0)
+        with pytest.raises(ValueError):
+            tk.gradient(nan_at)
+        with pytest.raises(ValueError):
+            tk.pair_margin_stats(x, nan_at, 1.0, 0.6)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                tk.pair_margin_stats(np.where(np.arange(d) == 0, np.inf, x),
+                                     np.where(np.arange(d) == 0, -np.inf, 0.0), 1.0, 0.6)
+        # a NaN made only in rank-d samples: +inf noise there meets -inf in x
+        tk.noise[tk._plan.order[-1], 0] = np.inf
+        tk._noise32 = None
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                tk.gradient(np.where(np.arange(d) == 0, -np.inf, x))
 
     def test_nan_in_a_later_block_raises(self):
         d = 16
@@ -472,7 +584,7 @@ class TestMembershipBlocks:
 
     def test_one_call_allocates_a_bounded_scratch(self):
         """A pair call at d = 64, S = 100k allocates one block's scratch, about
-        16 MB, not (d, S) rows and masks, about 65 MB."""
+        7.5 MB, not (d, S) rows and masks, about 65 MB."""
         d = 64
         tk = TopKApprox(d, 32, 1.0, samples=100_000, seed=91)
         tk._noise_f32()  # instance state, built once: the plan and the float32 noise
@@ -491,7 +603,7 @@ class TestMembershipBlocks:
         th.start()
         th.join(timeout=120)
         assert not th.is_alive()
-        assert len(peak) == 1 and peak[0] < 24 * 2**20
+        assert len(peak) == 1 and peak[0] < 12 * 2**20
 
 class TestMergeNetwork:
     @pytest.mark.parametrize("d", range(1, 17))

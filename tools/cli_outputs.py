@@ -144,6 +144,18 @@ COMMANDS = [
     ("usage-samples-cap", ["verify", "--approx", "gstopk:4", "--norm", "topk:4", "--dim", "64",
                            "--samples", "1000000000", "--trials", "1", "--check", "stability"],
      None),
+    *[(f"verify-stability-k{k}", ["verify", "--approx", f"gstopk:{k}", "--norm", f"topk:{k}",
+                                  "--dim", "16", "--check", "stability", "--samples", "40000",
+                                  "--trials", "30", "--out", f"stability-k{k}.json"], None)
+      for k in (16, 1)],
+    ("usage-gen-lb-r", ["gen", "--problem", "lb", "--m", "3", "--k", "2", "--T", "2", "--r", "2",
+                        "--inner", "linf,l1", "--out", "lb-r.jsonl"], None),
+    ("usage-gen-bvc-m", ["gen", "--problem", "bvc", "--m", "3", "--k", "2",
+                         "--out", "bvc-m.jsonl"], None),
+    ("usage-gen-vs-budget", ["gen", "--problem", "vs", "--budget", "3",
+                             "--out", "vs-budget.jsonl"], None),
+    ("usage-gen-bwk-inner", ["gen", "--problem", "bwk", "--inner", "linf",
+                             "--out", "bwk-inner.jsonl"], None),
 ]
 
 
