@@ -118,6 +118,11 @@ def _get(config: dict, key: str, default, kind):
 # --- instance generators --------------------------------------------------------
 
 
+_UNUSED = {  # problem -> the gen entries it does not read
+    "lb": ("n", "d", "r", "inner", "budget"), "vs": ("n", "d", "budget"),
+    "bwk": ("m", "k", "r", "inner"), "bvc": ("m", "k", "r", "inner", "budget")}
+
+
 @dataclass
 class GeneratorSpec:
     problem: str  # lb | vs | bwk | bvc
@@ -159,11 +164,6 @@ class GeneratorSpec:
         if isinstance(spec.inner, str):
             spec.inner = spec.inner.split(",")
         return spec
-
-
-_UNUSED = {  # problem -> the gen entries it does not read
-    "lb": ("n", "d", "r", "inner", "budget"), "vs": ("n", "d", "budget"),
-    "bwk": ("m", "k", "r", "inner"), "bvc": ("m", "k", "r", "inner", "budget")}
 
 
 def _lb_jobs(spec: GeneratorSpec, rng: np.random.Generator) -> list[np.ndarray]:
